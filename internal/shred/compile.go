@@ -1,11 +1,14 @@
-// Package shred is the streaming XML→relational data plane: one SAX-style
-// pass over encoding/xml tokens evaluates a compiled Def 2.2
+// Package shred is the streaming XML→relational data plane: one pass
+// over xmltok's zero-copy token stream evaluates a compiled Def 2.2
 // transformation incrementally (no xmltree materialization on the hot
-// path), fans completed tuple blocks out to per-rule workers over bounded
-// channels, and enforces the propagated minimum cover online through
-// per-FD hash indexes. The analysis plane (core, xmlkey) proves that the
-// propagated FDs hold on every instance shredded from a valid document;
-// this package is where that guarantee meets real data — a violated FD
+// path), hands each closed block of bindings to its rule's worker over a
+// bounded channel, and there enumerates the block's null-subtree
+// Cartesian product row by row — no block's rows are ever materialized —
+// deduplicating, writing distinct tuples to the sink in batches, and
+// enforcing the propagated minimum cover online through per-FD hash
+// indexes. The analysis plane (core, xmlkey) proves that the propagated
+// FDs hold on every instance shredded from a valid document; this
+// package is where that guarantee meets real data — a violated FD
 // surfaces as a typed FDViolation carrying the conflicting tuples, their
 // byte offsets and lineage back to the source nodes.
 //
@@ -47,6 +50,14 @@ type crule struct {
 	// root children need the full cross product of their blocks and are
 	// expanded when the document root closes (see evaluator.finish).
 	streamable bool
+	// blockVars lists the variables of a block's product in depth-first
+	// slot order, from the block's own variable (the root's sole child
+	// for streamable rules, the root otherwise); blockParent[i] is the
+	// position of blockVars[i]'s parent, -1 for position 0. The order is
+	// the order of a row's lineage refs and of the product's odometer
+	// digits (see product).
+	blockVars   []*cvar
+	blockParent []int
 }
 
 // cvar is one compiled variable of a rule.
@@ -69,10 +80,6 @@ type cvar struct {
 	// needsText: element variable populating a field — its binding collects
 	// the subtree's text content while open.
 	needsText bool
-	// owned lists the schema columns populated anywhere in the subtree of
-	// variables rooted at this one (the columns a binding's expansion
-	// contributes to the cross product).
-	owned []int
 }
 
 // Compile compiles every rule of the transformation against one shared
@@ -124,24 +131,20 @@ func compileRule(ri int, rule *transform.Rule, in *xpath.Interner) (*crule, erro
 		index[name] = cv.idx
 		cr.vars = append(cr.vars, cv)
 	}
-	// owned columns, bottom-up (children always follow parents in topo
-	// order, so a reverse sweep sees every child before its parent).
-	for i := len(cr.vars) - 1; i >= 0; i-- {
-		cv := cr.vars[i]
-		seen := map[int]bool{}
-		if cv.fieldCol >= 0 {
-			seen[cv.fieldCol] = true
-			cv.owned = append(cv.owned, cv.fieldCol)
-		}
+	cr.streamable = len(cr.vars[0].children) == 1
+	top := cr.vars[0]
+	if cr.streamable {
+		top = cr.vars[top.children[0]]
+	}
+	var walk func(cv *cvar, parent int)
+	walk = func(cv *cvar, parent int) {
+		pos := len(cr.blockVars)
+		cr.blockVars = append(cr.blockVars, cv)
+		cr.blockParent = append(cr.blockParent, parent)
 		for _, ci := range cv.children {
-			for _, col := range cr.vars[ci].owned {
-				if !seen[col] {
-					seen[col] = true
-					cv.owned = append(cv.owned, col)
-				}
-			}
+			walk(cr.vars[ci], pos)
 		}
 	}
-	cr.streamable = len(cr.vars[0].children) == 1
+	walk(top, -1)
 	return cr, nil
 }

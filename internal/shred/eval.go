@@ -12,10 +12,18 @@ package shred
 // all reclaimed on push, and the current element path is rendered at most
 // once per element and only when a binding actually anchors there — so
 // elements that bind nothing cost word-sized NFA steps and no heap.
+//
+// A closed block of bindings is handed to its rule's worker as is: the
+// decoder only counts its rows and charges the tuple budget. The worker
+// enumerates the block's Cartesian product in place (product), so no
+// block's rows are ever materialized and a row's lineage stays a list of
+// binding pointers until an FD violation renders it.
 
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 
 	"xkprop/internal/budget"
@@ -33,32 +41,26 @@ type Ref struct {
 	Path   string `json:"path"`
 }
 
-// Row is one shredded tuple with its lineage.
-type Row struct {
-	Vals rel.Tuple
-	Lin  []Ref
-}
-
-// Offset returns the row's anchoring byte offset: the largest start-tag
-// offset among its lineage refs (the most specific contributing node).
-func (r Row) Offset() int64 {
-	var max int64
-	for _, ref := range r.Lin {
-		if ref.Offset > max {
-			max = ref.Offset
-		}
-	}
-	return max
-}
-
 // bind is one binding of a rule variable to a document node.
 type bind struct {
-	v    *cvar
-	off  int64
+	v   *cvar
+	off int64
+	// path is the anchor element's label path, shared by every binding
+	// anchored there; an attribute binding's Ref appends "/@attr" only
+	// when its lineage is rendered.
 	path string
 	val  string
 	text *strings.Builder
 	kids [][]*bind // per child slot, bindings in document order
+}
+
+// block is one closed binding handed from the decoder to its rule's
+// worker, with the number of rows its product holds; a nil binding stands
+// for the single all-null row. After the hand-off only the worker touches
+// the binding tree.
+type block struct {
+	b    *bind
+	rows uint64
 }
 
 // bindPos tracks one open binding's child-path NFA position sets while
@@ -101,8 +103,8 @@ func (f *eframe) newSets(k int) []stream.PosSet {
 type evaluator struct {
 	c         *Compiled
 	maxTuples int
-	raw       int64 // raw rows produced by expansion, pre-dedup
-	emit      func(ri int, rows []Row) error
+	raw       uint64 // raw rows charged against maxTuples, pre-dedup
+	emit      func(ri int, blk block) error
 	stack     []eframe
 	labels    []string
 	// curPath memoizes the rendered element path; valid while curPathOK.
@@ -111,12 +113,13 @@ type evaluator struct {
 	curPath    string
 	curPathOK  bool
 	texts      []*bind // bindings currently collecting text, stack order
+	closed     []*bind // blocks closing at the current end tag, reused
 	roots      []*bind // per rule
 	emitted    []int   // per rule: blocks emitted mid-stream
 	rootClosed bool
 }
 
-func (c *Compiled) newEvaluator(maxTuples int, emit func(ri int, rows []Row) error) *evaluator {
+func (c *Compiled) newEvaluator(maxTuples int, emit func(ri int, blk block) error) *evaluator {
 	return &evaluator{
 		c:         c,
 		maxTuples: maxTuples,
@@ -238,7 +241,7 @@ func (e *evaluator) acceptChild(nf *eframe, ri int, parent *bind, slot int, cv *
 			return
 		}
 		parent.kids[slot] = append(parent.kids[slot], &bind{
-			v: cv, off: t.Offset, path: e.path() + "/@" + cv.attr, val: val,
+			v: cv, off: t.Offset, path: e.path(), val: val,
 		})
 		return
 	}
@@ -304,21 +307,22 @@ func (e *evaluator) endElement() error {
 		e.texts = e.texts[:len(e.texts)-nf.nText]
 	}
 	// Streaming emission: a closed binding of a streamable rule's sole
-	// root child is a complete block — expand it now and release it.
+	// root child is a complete block — detach it from the root and hand it
+	// off. The blocks are collected first: a later entry of opened may
+	// belong to a block already handed off.
+	e.closed = e.closed[:0]
 	for _, b := range nf.opened {
-		cr := e.c.rules[b.v.ri]
-		if !cr.streamable || b.v.parent != 0 {
-			continue
+		if e.c.rules[b.v.ri].streamable && b.v.parent == 0 {
+			e.closed = append(e.closed, b)
 		}
-		rows, err := e.expand(cr, b)
-		if err != nil {
+	}
+	for _, b := range e.closed {
+		ri := b.v.ri
+		e.detach(ri, b)
+		e.emitted[ri]++
+		if err := e.handOff(ri, b); err != nil {
 			return err
 		}
-		if err := e.emit(b.v.ri, rows); err != nil {
-			return err
-		}
-		e.detach(b)
-		e.emitted[b.v.ri]++
 	}
 	e.stack = e.stack[:len(e.stack)-1]
 	if len(e.stack) == 0 {
@@ -328,12 +332,12 @@ func (e *evaluator) endElement() error {
 	return nil
 }
 
-// detach releases an emitted block from the root binding.
-func (e *evaluator) detach(b *bind) {
-	kids := e.roots[b.v.ri].kids[0]
+// detach releases a closed block from rule ri's root binding.
+func (e *evaluator) detach(ri int, b *bind) {
+	kids := e.roots[ri].kids[0]
 	for i := len(kids) - 1; i >= 0; i-- {
 		if kids[i] == b {
-			e.roots[b.v.ri].kids[0] = append(kids[:i], kids[i+1:]...)
+			e.roots[ri].kids[0] = append(kids[:i], kids[i+1:]...)
 			return
 		}
 	}
@@ -341,35 +345,104 @@ func (e *evaluator) detach(b *bind) {
 
 // finish runs when the document root closes: streamable rules that never
 // matched emit their single all-null tuple (the Cartesian product over an
-// empty binding set per Def 2.2), and multi-root-child rules expand their
-// full product — the one place block memory is proportional to the
-// document's matched bindings rather than a single block.
+// empty binding set per Def 2.2), and multi-root-child rules hand off
+// their root binding as one block — the one place block memory is
+// proportional to the document's matched bindings rather than a single
+// block.
 func (e *evaluator) finish() error {
 	for ri, cr := range e.c.rules {
-		if e.roots[ri] == nil {
+		rb := e.roots[ri]
+		if rb == nil {
 			continue
 		}
+		e.roots[ri] = nil
 		if cr.streamable {
 			if e.emitted[ri] == 0 {
-				if err := e.countRows(1); err != nil {
-					return err
-				}
-				if err := e.emit(ri, []Row{{Vals: nullTuple(cr.width)}}); err != nil {
+				if err := e.handOff(ri, nil); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		rows, err := e.expand(cr, e.roots[ri])
-		if err != nil {
+		if err := e.handOff(ri, rb); err != nil {
 			return err
 		}
-		if err := e.emit(ri, rows); err != nil {
-			return err
-		}
-		e.roots[ri] = nil
 	}
 	return nil
+}
+
+// handOff charges a closed block's raw row count against the tuple budget
+// and sends the block to rule ri's worker; b == nil is the all-null row.
+func (e *evaluator) handOff(ri int, b *bind) error {
+	rows, raw := uint64(1), uint64(1)
+	if b != nil {
+		rows, raw = countRows(b)
+	}
+	e.raw = satAdd(e.raw, raw)
+	if e.maxTuples > 0 && e.raw > uint64(e.maxTuples) {
+		return budget.Exceeded("shred", budget.Tuples, e.maxTuples)
+	}
+	return e.emit(ri, block{b: b, rows: rows})
+}
+
+// countRows returns the number of rows in b's product and the raw count
+// the tuple budget charges for it: the rows a slot-by-slot materializing
+// expansion would build, pre-dedup — one base row per binding, then per
+// child slot the rows so far once more for an empty slot, or the slot's
+// bindings' raw counts plus the rows so far times the slot's factor.
+// Both counts saturate at math.MaxUint64, so a product too large to count
+// exceeds every budget instead of wrapping.
+func countRows(b *bind) (rows, raw uint64) {
+	rows, raw = 1, 1
+	for si := range b.v.children {
+		var kids []*bind
+		if b.kids != nil {
+			kids = b.kids[si]
+		}
+		if len(kids) == 0 {
+			raw = satAdd(raw, rows)
+			continue
+		}
+		var factor uint64
+		for _, kb := range kids {
+			kr, kraw := countRows(kb)
+			factor = satAdd(factor, kr)
+			raw = satAdd(raw, kraw)
+		}
+		rows = satMul(rows, factor)
+		raw = satAdd(raw, rows)
+	}
+	return rows, raw
+}
+
+func satAdd(a, b uint64) uint64 {
+	if s := a + b; s >= a {
+		return s
+	}
+	return math.MaxUint64
+}
+
+func satMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}
+
+// release drops a handed-off block's child links once its product has
+// been enumerated, so a witness holding some of its bindings pins nothing
+// else.
+func release(b *bind) {
+	if b == nil {
+		return
+	}
+	for _, kids := range b.kids {
+		for _, kb := range kids {
+			release(kb)
+		}
+	}
+	b.kids = nil
 }
 
 func nullTuple(width int) rel.Tuple {
@@ -380,113 +453,140 @@ func nullTuple(width int) rel.Tuple {
 	return t
 }
 
-// countRows charges n raw rows against the tuple budget.
-func (e *evaluator) countRows(n int64) error {
-	e.raw += n
-	if e.maxTuples > 0 && e.raw > int64(e.maxTuples) {
-		return budget.Exceeded("shred", budget.Tuples, e.maxTuples)
+// lineage is a row's chosen bindings in depth-first slot order (the
+// rule's blockVars order), nil where a variable is unbound: the row's
+// provenance, kept as pointers and rendered to Refs only on demand.
+type lineage []*bind
+
+// bound counts the bound variables.
+func (l lineage) bound() int {
+	n := 0
+	for _, b := range l {
+		if b != nil {
+			n++
+		}
 	}
-	return nil
+	return n
 }
 
-// expand materializes the Cartesian product of a binding's subtree: the
-// binding's own value joined with, per child slot, the concatenation of
-// each child binding's expansion — or the all-null factor when the slot
-// matched nothing (the paper's null subtree).
-//
-// Two slot shapes dominate real documents and merge in place instead of
-// through the general product, relying on the Def 2.2 invariant that each
-// schema column is populated by exactly one variable (sibling owned sets
-// are disjoint, so a slot's columns are untouched nulls until its factor
-// merges):
-//   - an unmatched slot's all-null factor changes nothing beyond the raw
-//     row accounting;
-//   - a single leaf child contributes one value and one lineage ref to
-//     every accumulated row.
-func (e *evaluator) expand(cr *crule, b *bind) ([]Row, error) {
-	base := Row{Vals: nullTuple(cr.width)}
-	if b.v.fieldCol >= 0 {
-		base.Vals[b.v.fieldCol] = rel.V(b.val)
+// refs renders the lineage as an exactly sized Ref slice, nil when no
+// variable is bound (the all-null row).
+func (l lineage) refs() []Ref {
+	n := l.bound()
+	if n == 0 {
+		return nil
 	}
-	base.Lin = make([]Ref, 1, len(cr.vars))
-	base.Lin[0] = Ref{Var: b.v.name, Offset: b.off, Path: b.path}
-	if err := e.countRows(1); err != nil {
-		return nil, err
-	}
-	rows := []Row{base}
-	for si := range b.v.children {
-		cv := cr.vars[b.v.children[si]]
-		var kids []*bind
-		if len(b.kids) > 0 {
-			kids = b.kids[si]
+	out := make([]Ref, 0, n)
+	for _, b := range l {
+		if b == nil {
+			continue
 		}
-		switch {
-		case len(kids) == 0:
-			if err := e.countRows(int64(len(rows))); err != nil {
-				return nil, err
-			}
-		case len(kids) == 1 && len(kids[0].v.children) == 0:
-			kb := kids[0]
-			if err := e.countRows(1 + int64(len(rows))); err != nil {
-				return nil, err
-			}
-			for i := range rows {
-				if kb.v.fieldCol >= 0 {
-					rows[i].Vals[kb.v.fieldCol] = rel.V(kb.val)
-				}
-				rows[i].Lin = append(rows[i].Lin, Ref{Var: kb.v.name, Offset: kb.off, Path: kb.path})
-			}
-		default:
-			var factor []Row
-			for _, kb := range kids {
-				sub, err := e.expand(cr, kb)
-				if err != nil {
-					return nil, err
-				}
-				if factor == nil {
-					factor = sub
-				} else {
-					factor = append(factor, sub...)
-				}
-			}
-			var err error
-			rows, err = e.crossMerge(rows, factor, cv.owned)
-			if err != nil {
-				return nil, err
-			}
+		path := b.path
+		if b.v.attr != "" {
+			path += "/@" + b.v.attr
 		}
+		out = append(out, Ref{Var: b.v.name, Offset: b.off, Path: path})
 	}
-	return rows, nil
+	return out
 }
 
-func (e *evaluator) crossMerge(acc, factor []Row, owned []int) ([]Row, error) {
-	if err := e.countRows(int64(len(acc)) * int64(len(factor))); err != nil {
-		return nil, err
-	}
-	if len(factor) == 1 {
-		// Rows in acc are exclusively owned by this expansion, so a single
-		// factor merges in place.
-		f := factor[0]
-		for i := range acc {
-			for _, col := range owned {
-				acc[i].Vals[col] = f.Vals[col]
-			}
-			acc[i].Lin = append(acc[i].Lin, f.Lin...)
-		}
-		return acc, nil
-	}
-	out := make([]Row, 0, len(acc)*len(factor))
-	for _, a := range acc {
-		for _, f := range factor {
-			vals := make(rel.Tuple, len(a.Vals))
-			copy(vals, a.Vals)
-			for _, col := range owned {
-				vals[col] = f.Vals[col]
-			}
-			lin := make([]Ref, 0, len(a.Lin)+len(f.Lin))
-			lin = append(append(lin, a.Lin...), f.Lin...)
-			out = append(out, Row{Vals: vals, Lin: lin})
+// offset is the row's anchoring byte offset: the largest start-tag offset
+// among its bindings (the most specific contributing node), 0 for none.
+func (l lineage) offset() int64 {
+	var max int64
+	for _, b := range l {
+		if b != nil && b.off > max {
+			max = b.off
 		}
 	}
-	return out, nil
+	return max
+}
+
+// clone returns an exactly sized copy of the bound entries, for a row
+// that outlives its enumeration step (an FD witness).
+func (l lineage) clone() lineage {
+	out := make(lineage, 0, l.bound())
+	for _, b := range l {
+		if b != nil {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// product enumerates one block's Cartesian product on the rule's worker,
+// one row at a time in a reused scratch tuple. The order is the one of a
+// slot-by-slot expansion: the binding's own value joined with, per child
+// slot, the concatenation of each child binding's product in document
+// order — or the null factor when the slot matched nothing (the paper's
+// null subtree). That order is a lexicographic odometer over the block's
+// variables in depth-first slot order: a variable's digit ranges over its
+// parent's chosen binding's kids in its slot, and a variable whose parent
+// is unbound or whose slot is empty is unbound and nulls its column. Def
+// 2.2 populates each column from exactly one variable, so a digit change
+// rewrites only the columns of the digits it resets.
+type product struct {
+	vars   []*cvar
+	parent []int
+	row    rel.Tuple // the current row
+	lin    lineage   // the current row's binding per variable
+	at     []int     // per variable, lin[i]'s index among its slot's kids
+}
+
+func newProduct(cr *crule) product {
+	return product{
+		vars:   cr.blockVars,
+		parent: cr.blockParent,
+		row:    nullTuple(cr.width),
+		lin:    make(lineage, len(cr.blockVars)),
+		at:     make([]int, len(cr.blockVars)),
+	}
+}
+
+// first positions the product at the first row of b's block (b == nil:
+// the all-null row).
+func (p *product) first(b *bind) {
+	p.set(0, b, 0)
+	p.reset(1)
+}
+
+// next advances to the following row, reporting false past the last.
+func (p *product) next() bool {
+	for i := len(p.vars) - 1; i > 0; i-- {
+		if p.lin[i] == nil {
+			continue
+		}
+		kids := p.lin[p.parent[i]].kids[p.vars[i].slot]
+		if n := p.at[i] + 1; n < len(kids) {
+			p.set(i, kids[n], n)
+			p.reset(i + 1)
+			return true
+		}
+	}
+	return false
+}
+
+// reset moves every digit from position from on to its first choice
+// under the current choices before it.
+func (p *product) reset(from int) {
+	for i := from; i < len(p.vars); i++ {
+		var b *bind
+		if pb := p.lin[p.parent[i]]; pb != nil && pb.kids != nil {
+			if kids := pb.kids[p.vars[i].slot]; len(kids) > 0 {
+				b = kids[0]
+			}
+		}
+		p.set(i, b, 0)
+	}
+}
+
+func (p *product) set(i int, b *bind, at int) {
+	p.lin[i], p.at[i] = b, at
+	if col := p.vars[i].fieldCol; col >= 0 {
+		if b == nil {
+			p.row[col] = rel.NullValue
+		} else {
+			p.row[col] = rel.V(b.val)
+		}
+	}
 }

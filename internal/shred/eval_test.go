@@ -132,32 +132,39 @@ func randomDocFor(rng *rand.Rand, tr *transform.Transformation) string {
 	return xmltree.NewTree(root).XMLString()
 }
 
-// TestStreamingLineage: every emitted row carries lineage refs whose
-// offsets point at '<' bytes of the source document.
+// TestStreamingLineage: every row of every handed-off block carries
+// lineage refs whose offsets point at '<' bytes of the source document.
 func TestStreamingLineage(t *testing.T) {
 	c, err := Compile(paperdata.Transform())
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := paperdata.Fig1XML
-	var rows []Row
-	ev := c.newEvaluator(0, func(ri int, r []Row) error {
-		if c.rules[ri].rule.Schema.Name == "chapter" {
-			rows = append(rows, r...)
+	var lins [][]Ref
+	ev := c.newEvaluator(0, func(ri int, blk block) error {
+		cr := c.rules[ri]
+		if cr.rule.Schema.Name != "chapter" {
+			return nil
 		}
-		return nil
+		p := newProduct(cr)
+		for p.first(blk.b); ; {
+			lins = append(lins, p.lin.refs())
+			if !p.next() {
+				return nil
+			}
+		}
 	})
 	if err := driveString(ev, doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
+	if len(lins) == 0 {
 		t.Fatal("no chapter rows")
 	}
-	for _, row := range rows {
-		if len(row.Lin) == 0 {
-			t.Fatalf("row %v has no lineage", row.Vals)
+	for _, lin := range lins {
+		if len(lin) == 0 {
+			t.Fatal("row has no lineage")
 		}
-		for _, ref := range row.Lin {
+		for _, ref := range lin {
 			if ref.Var == "" || ref.Path == "" {
 				t.Errorf("incomplete ref %+v", ref)
 			}

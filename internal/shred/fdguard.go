@@ -59,22 +59,46 @@ func (t ViolatingTuple) render() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-func violTuple(row Row) ViolatingTuple {
-	vt := ViolatingTuple{Offset: row.Offset(), Lineage: row.Lin}
-	vt.Values = make([]*string, len(row.Vals))
-	for i, v := range row.Vals {
-		if !v.Null {
-			s := v.S
-			vt.Values[i] = &s
-		}
-	}
-	return vt
+// guardTuple is a tuple the guard keeps as a witness or reports: the
+// stored tuple, a compact copy of its lineage's binding pointers, and its
+// rendering, made on its first violation and shared by every violation
+// it takes part in.
+type guardTuple struct {
+	t   rel.Tuple
+	lin lineage
+	vt  *ViolatingTuple
 }
 
-// guardEntry is the first tuple seen for one LHS projection.
+// hold returns gt, or on first use a new record of t with a copy of lin.
+func hold(gt *guardTuple, t rel.Tuple, lin lineage) *guardTuple {
+	if gt == nil {
+		gt = &guardTuple{t: t, lin: lin.clone()}
+	}
+	return gt
+}
+
+// render renders the tuple once; its lineage is rendered here, and only
+// here, into an exactly sized Ref slice.
+func (gt *guardTuple) render() ViolatingTuple {
+	if gt.vt == nil {
+		vt := ViolatingTuple{Offset: gt.lin.offset(), Lineage: gt.lin.refs()}
+		vt.Values = make([]*string, len(gt.t))
+		for i, v := range gt.t {
+			if !v.Null {
+				s := v.S
+				vt.Values[i] = &s
+			}
+		}
+		gt.vt = &vt
+	}
+	return *gt.vt
+}
+
+// guardEntry is the first tuple seen for one LHS projection: its RHS
+// projection and the witness.
 type guardEntry struct {
-	rhsKey string
-	row    Row
+	rhsKey  string
+	witness *guardTuple
 }
 
 // fdGuard enforces one rule's FDs. It is owned by that rule's worker
@@ -82,10 +106,11 @@ type guardEntry struct {
 // (atomics) so the budget caps bound the whole run.
 type fdGuard struct {
 	table      string
+	schema     *rel.Schema
 	fds        []rel.FD
-	fdStr      []string
-	lhsPos     [][]int // per FD, ascending LHS column positions
-	rhsPos     [][]int // per FD, ascending RHS column positions
+	fdStr      []string // per FD, formatted on its first violation
+	lhsPos     [][]int  // per FD, ascending LHS column positions
+	rhsPos     [][]int  // per FD, ascending RHS column positions
 	idx        []map[string]guardEntry
 	scratch    []byte
 	entries    *atomic.Int64
@@ -98,12 +123,12 @@ type fdGuard struct {
 
 func newFDGuard(table string, schema *rel.Schema, fds []rel.FD, entries *atomic.Int64, maxEntries int, violTotal *atomic.Int64, maxViol int) *fdGuard {
 	g := &fdGuard{
-		table: table, fds: fds,
+		table: table, schema: schema, fds: fds,
+		fdStr:   make([]string, len(fds)),
 		entries: entries, maxEntries: maxEntries,
 		violTotal: violTotal, maxViol: maxViol,
 	}
 	for _, fd := range fds {
-		g.fdStr = append(g.fdStr, fd.Format(schema))
 		g.lhsPos = append(g.lhsPos, fd.Lhs.Positions())
 		g.rhsPos = append(g.rhsPos, fd.Rhs.Positions())
 		g.idx = append(g.idx, map[string]guardEntry{})
@@ -124,19 +149,22 @@ func appendProjKey(dst []byte, t rel.Tuple, pos []int) []byte {
 	return dst
 }
 
-// check runs one tuple through every FD. Violations accumulate on the
-// guard; a typed *budget.Error aborts the run when the index or violation
-// cap is exhausted (abort, never evict — see budget.FDIndexEntries).
-func (g *fdGuard) check(row Row) error {
-	t := row.Vals
+// check runs one stored tuple through every FD; lin is the enumerating
+// product's lineage, valid only during the call. Violations accumulate on
+// the guard; a typed *budget.Error aborts the run when the index or
+// violation cap is exhausted (abort, never evict — see
+// budget.FDIndexEntries).
+func (g *fdGuard) check(t rel.Tuple, lin lineage) error {
+	var self *guardTuple // t's record: made on first use, shared by every index and violation
 	for fi, fd := range g.fds {
 		g.checks++
 		if t.HasNullAt(fd.Lhs) {
 			// Condition 1: null on the LHS demands an all-null RHS.
 			if !t.AllNullAt(fd.Rhs) {
+				self = hold(self, t, lin)
 				if err := g.record(FDViolation{
-					Table: g.table, FD: g.fdStr[fi], Condition: 1,
-					Tuples: []ViolatingTuple{violTuple(row)},
+					Table: g.table, FD: g.fdName(fi), Condition: 1,
+					Tuples: []ViolatingTuple{self.render()},
 				}); err != nil {
 					return err
 				}
@@ -155,9 +183,10 @@ func (g *fdGuard) check(row Row) error {
 		lk, rk := g.scratch[:split], g.scratch[split:]
 		if e, ok := g.idx[fi][string(lk)]; ok {
 			if e.rhsKey != string(rk) {
+				self = hold(self, t, lin)
 				if err := g.record(FDViolation{
-					Table: g.table, FD: g.fdStr[fi], Condition: 2,
-					Tuples: []ViolatingTuple{violTuple(e.row), violTuple(row)},
+					Table: g.table, FD: g.fdName(fi), Condition: 2,
+					Tuples: []ViolatingTuple{e.witness.render(), self.render()},
 				}); err != nil {
 					return err
 				}
@@ -167,9 +196,18 @@ func (g *fdGuard) check(row Row) error {
 		if n := g.entries.Add(1); g.maxEntries > 0 && n > int64(g.maxEntries) {
 			return budget.Exceeded("shred fd enforcement", budget.FDIndexEntries, g.maxEntries)
 		}
-		g.idx[fi][string(lk)] = guardEntry{rhsKey: string(rk), row: row}
+		self = hold(self, t, lin)
+		key := string(g.scratch) // both projections, one allocation
+		g.idx[fi][key[:split]] = guardEntry{rhsKey: key[split:], witness: self}
 	}
 	return nil
+}
+
+func (g *fdGuard) fdName(fi int) string {
+	if g.fdStr[fi] == "" {
+		g.fdStr[fi] = g.fds[fi].Format(g.schema)
+	}
+	return g.fdStr[fi]
 }
 
 func (g *fdGuard) record(v FDViolation) error {

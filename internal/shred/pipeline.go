@@ -2,10 +2,10 @@ package shred
 
 // The pipeline: one goroutine owns the xmltok.Source and the streaming
 // evaluator (and, when a key set is supplied, the stream validator — both
-// consume the same single token pass); completed tuple blocks fan out to
-// one worker goroutine per rule over bounded channels, gated by a
-// semaphore of Options.Workers execution slots. Each rule's blocks are
-// processed strictly in channel (= document) order by its single worker,
+// consume the same single token pass); closed blocks of bindings fan out
+// to one worker goroutine per rule over bounded channels, gated by a
+// semaphore of Options.Workers execution slots. Each worker enumerates
+// its blocks' products itself, strictly in channel (= document) order,
 // so sink bytes are identical for -workers 1 and -workers N; parallelism
 // comes from different rules progressing concurrently, never from
 // reordering one rule's tuples.
@@ -99,15 +99,22 @@ func Run(ctx context.Context, tr *transform.Transformation, input io.Reader, sin
 	return c.Run(ctx, input, sink, opts)
 }
 
+// ctxCheckRows is how many enumerated rows a worker goes between checks
+// of the run context, so a cancelled run stops inside a large block.
+const ctxCheckRows = 1024
+
 // ruleState is one rule's worker-side state.
 type ruleState struct {
 	cr       *crule
 	w        TableWriter
 	guard    *fdGuard
-	ch       chan []Row
+	ch       chan block
+	prod     product
 	dedup    map[string]bool
-	scratch  []byte // reusable tuple-key encoding buffer
+	scratch  []byte      // reusable tuple-key encoding buffer
+	slab     []rel.Value // unused tail of the current tuple slab
 	pending  []rel.Tuple
+	rows     uint64 // rows enumerated, for the periodic context check
 	tuples   int64
 	batches  int64
 	violSeen int64 // guard violations already counted into the metrics
@@ -175,7 +182,8 @@ func (c *Compiled) Run(ctx context.Context, input io.Reader, sink Sink, opts Opt
 		}
 		st := &ruleState{
 			cr: cr, w: w,
-			ch:    make(chan []Row, 4),
+			ch:    make(chan block, 4),
+			prod:  newProduct(cr),
 			dedup: map[string]bool{},
 		}
 		if fds := opts.Covers[cr.rule.Schema.Name]; len(fds) > 0 {
@@ -200,20 +208,28 @@ func (c *Compiled) Run(ctx context.Context, input io.Reader, sink Sink, opts Opt
 		wg.Add(1)
 		go func(st *ruleState) {
 			defer wg.Done()
-			for rows := range st.ch {
+			// A worker the run context stops before its final flush records
+			// the context's error: its sink holds a partial instance.
+			for blk := range st.ch {
 				pm.queueDepth.Add(-1)
-				if st.err != nil || runCtx.Err() != nil {
+				if st.err == nil {
+					st.err = runCtx.Err()
+				}
+				if st.err != nil {
 					continue // drain so the producer never blocks
 				}
 				sem <- struct{}{}
-				err := st.process(rows, batchSize, pm)
+				err := st.process(runCtx, blk, batchSize, pm)
 				<-sem
 				if err != nil {
 					st.err = err
 					cancel()
 				}
 			}
-			if st.err == nil && runCtx.Err() == nil {
+			if st.err == nil {
+				st.err = runCtx.Err()
+			}
+			if st.err == nil {
 				if err := st.flush(pm); err != nil {
 					st.err = err
 					cancel()
@@ -222,13 +238,10 @@ func (c *Compiled) Run(ctx context.Context, input io.Reader, sink Sink, opts Opt
 		}(st)
 	}
 
-	emit := func(ri int, rows []Row) error {
-		if len(rows) == 0 {
-			return nil
-		}
+	emit := func(ri int, blk block) error {
 		pm.queueDepth.Add(1)
 		select {
-		case states[ri].ch <- rows:
+		case states[ri].ch <- blk:
 			return nil
 		case <-runCtx.Done():
 			pm.queueDepth.Add(-1)
@@ -272,6 +285,16 @@ func (c *Compiled) Run(ctx context.Context, input io.Reader, sink Sink, opts Opt
 	}
 	if werr != nil && (runErr == nil || errors.Is(runErr, context.Canceled)) {
 		runErr = werr
+	}
+	// Otherwise a worker stopped by the run context alone ends the run in
+	// that context's error: no Result counts rows the sink never got.
+	if runErr == nil {
+		for _, st := range states {
+			if st.err != nil {
+				runErr = st.err
+				break
+			}
+		}
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -344,9 +367,6 @@ func (c *Compiled) drive(ctx context.Context, src xmltok.Source, ev *evaluator, 
 	}
 }
 
-// tupleKey mirrors rel.Relation.Dedup's identity: values plus null mask.
-func tupleKey(t rel.Tuple) string { return string(appendTupleKey(nil, t)) }
-
 // appendTupleKey appends the dedup identity of a tuple: "N\x00" per null,
 // "V<decimal len>:<bytes>\x00" per value. The encoding is pinned by
 // TestTupleKeyEncodingUnchanged — it must stay byte-equal to the
@@ -366,36 +386,69 @@ func appendTupleKey(dst []byte, t rel.Tuple) []byte {
 	return dst
 }
 
-// process handles one block on the rule's worker: online dedup (set
-// semantics, first occurrence kept — matching the tree evaluator's
-// Dedup), FD enforcement, then batched sink writes.
-func (st *ruleState) process(rows []Row, batchSize int, pm *pipelineMetrics) error {
-	for _, row := range rows {
-		st.scratch = appendTupleKey(st.scratch[:0], row.Vals)
-		if st.dedup[string(st.scratch)] {
-			continue
-		}
-		st.dedup[string(st.scratch)] = true
-		if st.guard != nil {
-			before := st.guard.checks
-			err := st.guard.check(row)
-			pm.fdChecks.Add(st.guard.checks - before)
-			if n := int64(len(st.guard.violations)); n > st.violSeen {
-				pm.violations.Add(n - st.violSeen)
-				st.violSeen = n
-			}
-			if err != nil {
+// process enumerates one block's product on the rule's worker: online
+// dedup (set semantics, first occurrence kept — matching the tree
+// evaluator's Dedup), FD enforcement, then batched sink writes. Rows are
+// built in the product's scratch tuple; only a distinct one is copied.
+func (st *ruleState) process(ctx context.Context, blk block, batchSize int, pm *pipelineMetrics) error {
+	defer release(blk.b)
+	p := &st.prod
+	p.first(blk.b)
+	for left := blk.rows; ; left-- {
+		if st.rows++; st.rows%ctxCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		st.pending = append(st.pending, row.Vals)
-		st.tuples++
-		pm.tuples.Add(1)
-		if len(st.pending) >= batchSize {
-			if err := st.writeBatch(pm); err != nil {
+		st.scratch = appendTupleKey(st.scratch[:0], p.row)
+		if !st.dedup[string(st.scratch)] {
+			st.dedup[string(st.scratch)] = true
+			if err := st.add(p.row, p.lin, left, batchSize, pm); err != nil {
 				return err
 			}
 		}
+		if !p.next() {
+			return nil
+		}
+	}
+}
+
+// add copies a distinct row once, into the current slab, runs the copy
+// through the FD guard and appends it to the pending batch. A new slab or
+// batch is sized for min(batchSize, rows left in the block) tuples, so a
+// small document does not pay for a full batch.
+func (st *ruleState) add(row rel.Tuple, lin lineage, left uint64, batchSize int, pm *pipelineMetrics) error {
+	room := batchSize
+	if left < uint64(room) {
+		room = int(left)
+	}
+	w := len(row)
+	if len(st.slab) < w {
+		st.slab = make([]rel.Value, room*w)
+	}
+	t := st.slab[:w:w]
+	st.slab = st.slab[w:]
+	copy(t, row)
+	if st.guard != nil {
+		before := st.guard.checks
+		err := st.guard.check(t, lin)
+		pm.fdChecks.Add(st.guard.checks - before)
+		if n := int64(len(st.guard.violations)); n > st.violSeen {
+			pm.violations.Add(n - st.violSeen)
+			st.violSeen = n
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if st.pending == nil {
+		st.pending = make([]rel.Tuple, 0, room)
+	}
+	st.pending = append(st.pending, t)
+	st.tuples++
+	pm.tuples.Add(1)
+	if len(st.pending) >= batchSize {
+		return st.writeBatch(pm)
 	}
 	return nil
 }

@@ -3,10 +3,13 @@ package shred
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -335,5 +338,120 @@ func TestMalformedInput(t *testing.T) {
 		if res != nil || err == nil {
 			t.Errorf("doc %q: got (%v, %v), want error and nil result", doc, res, err)
 		}
+	}
+}
+
+// cancelSink cancels the caller's context on its first WriteBatch and
+// counts the batches it receives.
+type cancelSink struct {
+	cancel  context.CancelFunc
+	batches atomic.Int64
+}
+
+func (s *cancelSink) Open(*rel.Schema) (TableWriter, error) { return s, nil }
+func (s *cancelSink) Close() error                          { return nil }
+
+func (s *cancelSink) WriteBatch([]rel.Tuple) error {
+	if s.batches.Add(1) == 1 {
+		s.cancel()
+	}
+	return nil
+}
+
+// TestCancelDuringWritesReturnsNoResult: a cancellation that lands after
+// the decoder has handed off its last block must still end the run in
+// the context's error with no Result — the sink never got every row. The
+// 46,656-row block also shows the worker stops within ctxCheckRows rows.
+func TestCancelDuringWritesReturnsNoResult(t *testing.T) {
+	testutil.GuardGoroutines(t, 5*time.Second)
+	wl := workload.Generate(workload.Config{Fields: 8, Depth: 3, Keys: 6, Width: 2})
+	tr := transform.MustTransformation(wl.Rule)
+	const batch = 8
+	for _, c := range []struct {
+		fanout int
+		rows   int
+	}{{3, 729}, {6, 46_656}} {
+		doc := wl.Document(c.fanout).XMLString()
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &cancelSink{cancel: cancel}
+		res, err := Run(ctx, tr, strings.NewReader(doc), sink, Options{Workers: 1, BatchSize: batch})
+		cancel()
+		if res != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("%d rows: got (%+v, %v), want (nil, context.Canceled)", c.rows, res, err)
+		}
+		if after := sink.batches.Load() - 1; after > ctxCheckRows/batch {
+			t.Errorf("%d rows: %d batches after the cancel, want at most %d", c.rows, after, ctxCheckRows/batch)
+		}
+	}
+}
+
+// TestTupleBudgetSaturates: products of 2^63 and 2^64 rows — one element
+// chain per root slot, fanout^width rows — must abort with the typed
+// tuple budget error under MaxTuples = math.MaxInt, not wrap into a small
+// count and start enumerating.
+func TestTupleBudgetSaturates(t *testing.T) {
+	testutil.GuardGoroutines(t, 5*time.Second)
+	for _, c := range []struct{ width, fanout int }{{9, 128}, {16, 16}} {
+		wl := workload.Generate(workload.Config{Fields: c.width, Depth: 1, Keys: 1, Width: c.width})
+		doc := wl.Document(c.fanout).XMLString()
+		tr := transform.MustTransformation(wl.Rule)
+		ctx, cancel := context.WithTimeout(budget.With(context.Background(), budget.Budget{MaxTuples: math.MaxInt}), 10*time.Second)
+		res, err := Run(ctx, tr, strings.NewReader(doc), Discard{}, Options{})
+		cancel()
+		var be *budget.Error
+		if res != nil || !errors.As(err, &be) || be.Resource != budget.Tuples {
+			t.Errorf("%d^%d rows: got (%v, %v), want a tuple budget abort", c.fanout, c.width, res, err)
+		}
+	}
+}
+
+// TestTupleKeyEncodingUnchanged pins appendTupleKey: byte-equal to the
+// fmt.Fprintf form it replaced, distinct for tuples that differ only in
+// NULL vs "" or in values holding ':' or '\x00', and in agreement with
+// rel.Relation.Dedup on which tuples are duplicates.
+func TestTupleKeyEncodingUnchanged(t *testing.T) {
+	n, v := rel.NullValue, rel.V
+	tuples := []rel.Tuple{
+		{n, v("")}, {v(""), n}, {v(""), v("")}, {n, n},
+		{v("a:b"), v("c")}, {v("a"), v("b:c")}, {v("1:a"), v("")}, {v(""), v("1:a")},
+		{v("a\x00"), v("b")}, {v("a"), v("\x00b")}, {v("a\x00V1:b"), n}, {v("a"), v("b")},
+		{v("N"), n}, {n, v("N")}, {v("a:b"), v("c")}, {n, v("")}, {v("a"), v("\x00b")},
+	}
+	reference := func(t rel.Tuple) string {
+		var b strings.Builder
+		for _, x := range t {
+			if x.Null {
+				b.WriteString("N\x00")
+			} else {
+				fmt.Fprintf(&b, "V%d:%s\x00", len(x.S), x.S)
+			}
+		}
+		return b.String()
+	}
+	r := rel.NewRelation(rel.MustSchema("t", "a", "b"))
+	seen := map[string]bool{}
+	var kept []rel.Tuple
+	for _, tu := range tuples {
+		key := string(appendTupleKey(nil, tu))
+		if want := reference(tu); key != want {
+			t.Errorf("key(%v) = %q, want %q", tu, key, want)
+		}
+		if !seen[key] {
+			seen[key] = true
+			kept = append(kept, tu)
+		}
+		r.MustInsert(tu)
+	}
+	r.Dedup()
+	if len(r.Tuples) != len(kept) {
+		t.Fatalf("keys keep %d tuples, Relation.Dedup keeps %d", len(kept), len(r.Tuples))
+	}
+	for i := range kept {
+		if string(appendTupleKey(nil, kept[i])) != string(appendTupleKey(nil, r.Tuples[i])) {
+			t.Errorf("tuple %d: keys keep %v, Relation.Dedup keeps %v", i, kept[i], r.Tuples[i])
+		}
+	}
+	if len(kept) != len(tuples)-3 {
+		t.Errorf("%d distinct tuples, want %d (three planted repeats)", len(kept), len(tuples)-3)
 	}
 }
