@@ -68,11 +68,13 @@ func MustParseFD(s *Schema, text string) FD {
 }
 
 // Closure computes the attribute closure X⁺ of x under the FDs, using the
-// classic fixpoint (linear passes over the FD list; the input sizes in this
-// system make the textbook algorithm the right trade-off). The accumulator
-// is a single mutable word slice: the minimize() inner loops call Closure
-// quadratically often, and an immutable Union per fixpoint step used to
-// dominate the allocation profile of BenchmarkMinimumCover.
+// classic fixpoint (linear passes over the FD list). It is the oracle the
+// indexed FDIndex closure is checked against. Minimize and BCNF run on an
+// FDIndex, except for the keys of BCNF fragments wider than
+// maxProjectionAttrs; the callers that still reach the fixpoint are
+// Implies (and ImpliesAll with one goal), CandidateKey and IsSuperkey, and
+// through them ThreeNF and those wide-fragment keys. The accumulator is a
+// single mutable word slice, so a fixpoint step allocates nothing.
 func Closure(fds []FD, x AttrSet) AttrSet {
 	n := len(x.words)
 	for _, f := range fds {
@@ -198,23 +200,7 @@ func Minimize(fds []FD) []FD {
 	}
 	work = kept
 
-	// Eliminate extraneous LHS attributes: B ∈ X is extraneous in X → A if
-	// (X ∖ B) → A already follows from the full set. One index compiled
-	// from the pre-reduction list answers every test: each accepted
-	// reduction replaces X → A with an FD the current set already implies,
-	// so every intermediate set is Armstrong-equivalent to the original
-	// and has the same closure function.
-	ix := NewFDIndex(work)
-	for i := range work {
-		lhs := work[i].Lhs
-		for _, b := range lhs.Positions() {
-			reduced := lhs.Without(b)
-			if ix.Implies(FD{Lhs: reduced, Rhs: work[i].Rhs}) {
-				lhs = reduced
-				work[i].Lhs = lhs
-			}
-		}
-	}
+	reduceLHS(work)
 	work = Dedup(work)
 
 	// Eliminate redundant FDs: f is redundant if the rest implies it. The
@@ -222,7 +208,7 @@ func Minimize(fds []FD) []FD {
 	// current FD and the ones already dropped, expressed as a disabled mask
 	// so no per-iteration list rebuild (or index rebuild) is needed.
 	out := make([]FD, 0, len(work))
-	ix = NewFDIndex(work)
+	ix := NewFDIndex(work)
 	disabled := make([]bool, len(work))
 	for i := range work {
 		disabled[i] = true
@@ -233,6 +219,53 @@ func Minimize(fds []FD) []FD {
 		out = append(out, work[i])
 	}
 	return out
+}
+
+// reduceLHS eliminates extraneous LHS attributes in place: B ∈ X is
+// extraneous in X → A if (X ∖ B) → A already follows from the full set.
+// One index compiled from the pre-reduction list answers every test: each
+// accepted reduction replaces X → A with an FD the current set already
+// implies, so every intermediate set is Armstrong-equivalent to the
+// original and has the same closure function.
+//
+// (X ∖ B) → A holds exactly when A ⊆ (X ∖ B)⁺, so each distinct X ∖ B is
+// closed once and its closure kept for the rest of the call: minimumCover
+// emits K → A for every field A under a keyed node, so each K ∖ B recurs
+// once per field. The memo is local to the call, not the index's shared
+// closure cache, whose traffic is exported as process counters.
+func reduceLHS(work []FD) {
+	ix := NewFDIndex(work)
+	s := ix.getScratch()
+	defer ix.putScratch(s)
+	// Every X ∖ B is a subset of an indexed LHS, so each closure is exactly
+	// ix.nWords words: memo maps a set key to its closure's offset in arena.
+	// Sized for lists whose LHSs are nearly all distinct, where almost every
+	// X ∖ B is new: growing the map from empty made those a few percent
+	// slower.
+	memo := make(map[string]int, len(work))
+	var arena []uint64
+	var key []byte
+	var reduced []uint64
+	for i := range work {
+		lhs := work[i].Lhs.trim()
+		for _, b := range lhs.Positions() {
+			reduced = append(reduced[:0], lhs.words...)
+			reduced[b/64] &^= 1 << (uint(b) % 64)
+			x := AttrSet{words: reduced}.trim()
+			key = appendSetKey(key[:0], x)
+			off, ok := memo[string(key)]
+			if !ok {
+				ix.run(s, x, nil, nil)
+				off = len(arena)
+				arena = append(arena, s.acc...)
+				memo[string(key)] = off
+			}
+			if subsetWords(work[i].Rhs.words, arena[off:off+ix.nWords]) {
+				lhs = AttrSet{words: append([]uint64(nil), x.words...)}
+				work[i].Lhs = lhs
+			}
+		}
+	}
 }
 
 // IsNonRedundant reports whether no FD in the list is implied by the others.

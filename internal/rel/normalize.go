@@ -196,12 +196,12 @@ func BCNF(fds []FD, attrs AttrSet) []Fragment {
 		frag := work[0]
 		work = work[1:]
 		if frag.Card() <= 1 {
-			done = append(done, Fragment{Attrs: frag, Key: frag})
+			done = append(done, Fragment{Attrs: frag})
 			continue
 		}
 		viol, ok := bcnfViolation(ix, frag)
 		if !ok {
-			done = append(done, Fragment{Attrs: frag, Key: ix.CandidateKey(frag)})
+			done = append(done, Fragment{Attrs: frag})
 			continue
 		}
 		closure := ix.Closure(viol.Lhs).Intersect(frag)
@@ -225,9 +225,16 @@ func BCNF(fds []FD, attrs AttrSet) []Fragment {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Attrs.key() < out[j].Attrs.key() })
-	// Recompute keys against projected FDs for accuracy.
+	// Key each fragment under its projected FDs. Up to the exact-projection
+	// cut-off the projection needs no computing: its closure of any
+	// X ⊆ fragment is X⁺ ∩ fragment, so the greedy removal over the full
+	// index makes the same superkey tests in the same order.
 	for i := range out {
-		out[i].Key = CandidateKey(ProjectFDs(fds, out[i].Attrs), out[i].Attrs)
+		if out[i].Attrs.Card() <= maxProjectionAttrs {
+			out[i].Key = ix.CandidateKey(out[i].Attrs)
+		} else {
+			out[i].Key = CandidateKey(ProjectFDs(fds, out[i].Attrs), out[i].Attrs)
+		}
 	}
 	return out
 }
@@ -235,6 +242,9 @@ func BCNF(fds []FD, attrs AttrSet) []Fragment {
 // bcnfViolation finds an FD X → A violating BCNF on fragment: X ⊊ fragment,
 // A ∈ fragment ∖ X, X not a superkey of fragment. It first scans declared
 // LHSs (fast path), then falls back to exact projection for small fragments.
+// The projection is computed only once projectedViolation has shown that
+// one of its FDs violates; the violation returned is still the
+// projection's first, which fixes the split.
 func bcnfViolation(ix *FDIndex, frag AttrSet) (FD, bool) {
 	for _, f := range ix.FDs() {
 		x := f.Lhs
@@ -249,7 +259,7 @@ func bcnfViolation(ix *FDIndex, frag AttrSet) (FD, bool) {
 			return FD{Lhs: x, Rhs: rhs}, true
 		}
 	}
-	if frag.Card() <= maxProjectionAttrs {
+	if frag.Card() <= maxProjectionAttrs && projectedViolation(ix, frag) {
 		for _, f := range ProjectFDs(ix.FDs(), frag) {
 			if !ix.Implies(FD{Lhs: f.Lhs, Rhs: frag}) {
 				return f, true
@@ -257,6 +267,42 @@ func bcnfViolation(ix *FDIndex, frag AttrSet) (FD, bool) {
 		}
 	}
 	return FD{}, false
+}
+
+// projectedViolation reports whether some X ⊆ frag has X⁺ ∩ frag ⊋ X while
+// frag ⊄ X⁺: whether the FDs projected onto frag break BCNF. A fragment is
+// in BCNF under every cover of its projection or under none, so this
+// agrees with a scan of ProjectFDs(fds, frag) for a non-superkey LHS. It
+// visits the same 2^|frag| subsets without building the projection, each
+// closure in the index's pooled scratch: the closure cache would be
+// thrashed by that many one-off sets, and its counters are exported.
+func projectedViolation(ix *FDIndex, frag AttrSet) bool {
+	frag = frag.trim()
+	pos := frag.Positions()
+	s := ix.getScratch()
+	defer ix.putScratch(s)
+	x := make([]uint64, len(frag.words))
+	for mask := 0; mask < 1<<uint(len(pos)); mask++ {
+		for i := range x {
+			x[i] = 0
+		}
+		for b, p := range pos {
+			if mask&(1<<uint(b)) != 0 {
+				x[p/64] |= 1 << (uint(p) % 64)
+			}
+		}
+		// run stops early once frag ⊆ X⁺: X is a superkey. Otherwise s.acc
+		// holds X⁺, and any member of frag outside X is a violation.
+		if ix.run(s, AttrSet{words: x}, nil, frag.words) {
+			continue
+		}
+		for i, w := range frag.words {
+			if w&^x[i]&s.acc[i] != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // IsBCNF reports whether the sub-schema attrs is in BCNF under the FDs.
@@ -268,25 +314,25 @@ func IsBCNF(fds []FD, attrs AttrSet) bool {
 // ThreeNF synthesizes a 3NF, dependency-preserving, lossless decomposition
 // from a minimum cover (Bernstein synthesis): one fragment per LHS group,
 // plus a key fragment if no fragment contains a candidate key of attrs.
+// Groups are built and ordered by the cover's order, so when two groups
+// have the same attributes the one whose LHS comes first in the cover is
+// kept, and its key with it.
 func ThreeNF(fds []FD, attrs AttrSet) []Fragment {
 	cover := Minimize(fds)
-	groups := map[string]AttrSet{}
-	lhsOf := map[string]AttrSet{}
+	var out []Fragment
+	group := map[string]int{}
 	for _, f := range cover {
 		k := f.Lhs.key()
-		g, ok := groups[k]
+		i, ok := group[k]
 		if !ok {
-			g = f.Lhs
-			lhsOf[k] = f.Lhs
+			i = len(out)
+			group[k] = i
+			out = append(out, Fragment{Attrs: f.Lhs, Key: f.Lhs})
 		}
-		groups[k] = g.Union(f.Rhs)
-	}
-	var out []Fragment
-	for k, g := range groups {
-		out = append(out, Fragment{Attrs: g, Key: lhsOf[k]})
+		out[i].Attrs = out[i].Attrs.Union(f.Rhs)
 	}
 	// Drop fragments contained in others.
-	sort.Slice(out, func(i, j int) bool { return out[i].Attrs.Card() > out[j].Attrs.Card() })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Attrs.Card() > out[j].Attrs.Card() })
 	var kept []Fragment
 	for _, f := range out {
 		sub := false
