@@ -5,10 +5,14 @@ BENCH_SHRED_JSON ?= BENCH_shred.json
 BENCH_TOKENIZER_JSON ?= BENCH_tokenizer.json
 FUZZTIME ?= 30s
 
-.PHONY: build test vet race stress fuzz-smoke bench bench-json bench-fdclosure bench-shred bench-tok bench-check serve-smoke diff-smoke soak-smoke load-smoke verify help
+.PHONY: build fmt test vet race stress fuzz-smoke bench bench-json bench-fdclosure bench-shred bench-tok bench-check serve-smoke diff-smoke soak-smoke load-smoke verify help
 
 build:
 	$(GO) build ./...
+
+# fmt fails when a Go file is not gofmt-clean and lists the files.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -110,13 +114,13 @@ soak-smoke:
 load-smoke:
 	$(GO) run ./cmd/xkload -smoke
 
-# Tier-1 verification (ROADMAP.md): build, vet, tests, the race run (which
+# Tier-1 verification (ROADMAP.md): build, the gofmt check, vet, tests, the race run (which
 # includes the fault-injection stress suites), the focused stress pass,
 # the xkserve end-to-end smoke, the differential cross-check smoke, the
 # short chaos soak, and the shredding-pipeline smoke. If a committed
 # bench trajectory is present, smoke-check that it is well-formed JSON
 # for its suite.
-verify: build vet test race stress serve-smoke diff-smoke soak-smoke load-smoke
+verify: build fmt vet test race stress serve-smoke diff-smoke soak-smoke load-smoke
 	@if [ -f $(BENCH_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_JSON); fi
 	@if [ -f $(BENCH_FDCLOSURE_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_FDCLOSURE_JSON); fi
 	@if [ -f $(BENCH_SHRED_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_SHRED_JSON); fi
@@ -125,6 +129,7 @@ verify: build vet test race stress serve-smoke diff-smoke soak-smoke load-smoke
 help:
 	@echo "Targets:"
 	@echo "  build           go build ./..."
+	@echo "  fmt             fail if gofmt -l . lists any file"
 	@echo "  test            go test ./..."
 	@echo "  vet             go vet ./..."
 	@echo "  race            full test suite under -race -short"
@@ -142,4 +147,4 @@ help:
 	@echo "  diff-smoke      cross-check every redundant decision path on a pinned seed"
 	@echo "  soak-smoke      short seeded chaos soak of xkserve behind the fault proxy"
 	@echo "  load-smoke      end-to-end shredding pipeline smoke (determinism, rejection, leaks)"
-	@echo "  verify          build + vet + test + race + stress + serve-smoke + diff-smoke + soak-smoke + load-smoke + bench JSON checks"
+	@echo "  verify          build + fmt + vet + test + race + stress + serve-smoke + diff-smoke + soak-smoke + load-smoke + bench JSON checks"

@@ -160,7 +160,7 @@ func (e *Engine) explainOne(lhs rel.AttrSet, rhsAttr int) *Explanation {
 				ex.Steps = append(ex.Steps, Step{Kind: StepNotKeyed, Target: target, Query: q.String()})
 			}
 		}
-		if len(attrs) > 0 && e.dec.ExistsAllID(e.rootEntryOf(target).id, attrs) {
+		if len(attrs) > 0 && e.dec.ExistsAllID(e.rootID(target), attrs) {
 			discharged := make([]string, 0, len(covered))
 			for _, f := range covered {
 				if ycheck[f] {

@@ -6,7 +6,7 @@ import (
 
 	"xkprop/internal/budget"
 	"xkprop/internal/rel"
-	"xkprop/internal/transform"
+	"xkprop/internal/xmlkey"
 )
 
 // This file implements Algorithm minimumCover (§5): given a universal
@@ -37,12 +37,6 @@ import (
 // targets (and the experiment workloads), each node has O(|Σ|) keys and the
 // algorithm runs in polynomial time, matching §6's measurements.
 
-// keyedNode records the transitive keys of one table-tree variable.
-type keyedNode struct {
-	varName string
-	keys    []rel.AttrSet
-}
-
 // MinimumCover implements Algorithm minimumCover: a minimum cover of all
 // FDs on the rule's (universal) relation propagated from Σ. With
 // SetWorkers(n > 1) the implication queries behind the candidate search
@@ -66,64 +60,66 @@ func (e *Engine) MinimumCoverCtx(ctx context.Context) ([]rel.FD, error) {
 	return rel.Minimize(cands), nil
 }
 
-// keyStep stages one candidate extension of a variable's transitive keys:
-// either uniqueness inheritance from ancestor c (sig < 0) or a relative
-// key drawn from Σ[sig] whose attributes populate the fields set. The
-// decision (an implication query) is filled in by the worker pool.
+// keyStep stages one candidate extension of a variable's transitive keys
+// from keyed ancestor c (an index into the engine's path table): either
+// uniqueness inheritance (list < 0) or a relative key over the attribute
+// list KeyAttrLists()[list], whose attributes populate the fields set.
+// The decision (an implication query) is filled in by the worker pool.
 type keyStep struct {
-	c      string
-	sig    int
+	c      int
+	list   int
 	fields rel.AttrSet
 	ok     bool
 }
 
-// emitStep stages one K → A emission candidate: field index fr under keyed
-// node v; ok records whether fr's variable is unique under v.
+// emitStep stages one K → A emission candidate: field index fr, populated
+// by variable u, under keyed node v; ok records whether u is unique under v.
 type emitStep struct {
-	v  string
-	fr int
-	ok bool
+	v, u, fr int
+	ok       bool
 }
 
 // coverCandidates generates the pre-minimization FD set F. A nil ctx is
-// the legacy unbudgeted path.
+// the legacy unbudgeted path. Every query goes to the decider by interned
+// ID through the engine's path table.
 func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 	rule := e.rule
-	schema := rule.Schema
-	sigma := e.Sigma()
+	pt := &e.paths
+	lists := e.dec.KeyAttrLists()
 	workers := e.queryWorkers()
 
-	keysOf := map[string][]rel.AttrSet{transform.RootVar: {{}}}
-	order := []string{transform.RootVar}
+	keysOf := make([][]rel.AttrSet, len(pt.vars))
+	keysOf[0] = []rel.AttrSet{{}}
+	order := []int{0}
 
-	for _, v := range rule.Vars() {
-		if v == transform.RootVar {
-			continue
+	var steps, rels []keyStep
+	var vKeys keySet
+	for v := 1; v < len(pt.vars); v++ {
+		vp := &pt.vars[v]
+		// Relative keys are drawn from Σ (the paper's search reduction):
+		// the attribute lists whose attributes all populate fields at v.
+		// σs with equal lists ask the same query and add the same fields,
+		// so each distinct list is staged once, at its first σ's position.
+		rels = rels[:0]
+		for li, l := range lists {
+			if fields, ok := e.fieldsOf(v, l.Names()); ok {
+				rels = append(rels, keyStep{list: li, fields: fields})
+			}
 		}
 		// Stage the candidate steps for every keyed ancestor of v (nearest
 		// last; the root is always first). Decisions depend only on (Σ,
 		// rule), not on the keys merged so far, so they can run in any
 		// order — only the merge below is order-sensitive.
-		var steps []keyStep
-		for _, c := range rule.Ancestors(v) {
+		steps = steps[:0]
+		for _, c := range vp.anc[:len(vp.anc)-1] {
 			if len(keysOf[c]) == 0 {
 				continue
 			}
-			if _, ok := rule.PathBetween(c, v); !ok {
-				continue // defensive: see propagatesOne on zero-value paths
-			}
 			// Uniqueness inheritance: v unique under c keeps c's keys.
-			steps = append(steps, keyStep{c: c, sig: -1})
-			// Relative keys drawn from Σ (the paper's search reduction).
-			for i, sig := range sigma {
-				if len(sig.Attrs) == 0 {
-					continue // uniqueness keys are handled above
-				}
-				fields, ok := e.fieldsForAttrs(v, sig.Attrs)
-				if !ok {
-					continue
-				}
-				steps = append(steps, keyStep{c: c, sig: i, fields: fields})
+			steps = append(steps, keyStep{c: c, list: -1})
+			for _, r := range rels {
+				r.c = c
+				steps = append(steps, r)
 			}
 		}
 		err := runIndexedErr(len(steps), workers, func(i int) error {
@@ -133,23 +129,19 @@ func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 				}
 			}
 			st := &steps[i]
-			ctxPath := e.pathFromRoot(st.c)
-			relPath, ok := rule.PathBetween(st.c, v)
-			if !ok {
-				return nil
-			}
-			if st.sig < 0 {
-				ok, err := e.dec.ImpliesCTCtx(ctx, ctxPath, relPath, nil)
+			ctxID, tgtID := pt.vars[st.c].up[0], pt.between(st.c, v)
+			if st.list < 0 {
+				ok, err := e.dec.ImpliesIDCtx(ctx, ctxID, tgtID, xmlkey.AttrList{})
 				st.ok = ok
 				return err
 			}
-			sig := sigma[st.sig]
-			keyed, err := e.dec.ImpliesCTCtx(ctx, ctxPath, relPath, sig.Attrs)
+			l := lists[st.list]
+			keyed, err := e.dec.ImpliesIDCtx(ctx, ctxID, tgtID, l)
 			if err != nil {
 				return err
 			}
 			// Null safety: the key attributes must exist on v's nodes.
-			st.ok = keyed && e.dec.ExistsAllID(e.rootEntryOf(v).id, sig.Attrs)
+			st.ok = keyed && e.dec.ExistsAllID(vp.up[0], l.Names())
 			return nil
 		})
 		if err != nil {
@@ -157,29 +149,21 @@ func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 		}
 		// Merge in staging order — exactly the sequential algorithm's
 		// order, so parallel runs produce the same key sets.
-		var vKeys []rel.AttrSet
-		add := func(k rel.AttrSet) {
-			for _, have := range vKeys {
-				if have.Equal(k) {
-					return
-				}
-			}
-			vKeys = append(vKeys, k)
-		}
+		vKeys.reset()
 		for _, st := range steps {
 			if !st.ok {
 				continue
 			}
 			for _, k := range keysOf[st.c] {
-				if st.sig < 0 {
-					add(k)
+				if st.list < 0 {
+					vKeys.add(k)
 				} else {
-					add(k.Union(st.fields))
+					vKeys.add(k.Union(st.fields))
 				}
 			}
 		}
-		if len(vKeys) > 0 {
-			keysOf[v] = vKeys
+		if len(vKeys.keys) > 0 {
+			keysOf[v] = vKeys.keys
 			order = append(order, v)
 		}
 	}
@@ -188,18 +172,18 @@ func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 	// each field A populated by a variable u unique under v whose LHS
 	// existence conditions hold (they do by construction of K). The
 	// uniqueness queries fan out; emission order again follows staging
-	// order.
+	// order. An attribute variable keys nothing below itself: the decider
+	// refutes every goal whose context ends in an attribute step.
 	var emits []emitStep
 	for _, v := range order {
+		if pt.vars[v].attr {
+			continue
+		}
 		for i, fr := range rule.Fields {
-			u := fr.Var
-			if u != v && !rule.IsDescendant(u, v) {
-				continue
+			u := pt.index[fr.Var]
+			if pt.under(u, v) {
+				emits = append(emits, emitStep{v: v, u: u, fr: i})
 			}
-			if _, ok := rule.PathBetween(v, u); !ok {
-				continue
-			}
-			emits = append(emits, emitStep{v: v, fr: i})
 		}
 	}
 	err := runIndexedErr(len(emits), workers, func(i int) error {
@@ -209,11 +193,7 @@ func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 			}
 		}
 		st := &emits[i]
-		uniq, ok := rule.PathBetween(st.v, rule.Fields[st.fr].Var)
-		if !ok {
-			return nil
-		}
-		u, err := e.dec.ImpliesCTCtx(ctx, e.pathFromRoot(st.v), uniq, nil)
+		u, err := e.dec.ImpliesIDCtx(ctx, pt.vars[st.v].up[0], pt.between(st.v, st.u), xmlkey.AttrList{})
 		st.ok = u
 		return err
 	})
@@ -225,7 +205,7 @@ func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 		if !st.ok {
 			continue
 		}
-		a := schema.Index(rule.Fields[st.fr].Field)
+		a := rule.Schema.Index(rule.Fields[st.fr].Field)
 		for _, k := range keysOf[st.v] {
 			fd := rel.NewFD(k, rel.AttrSet{}.With(a))
 			if !fd.IsTrivial() {
@@ -233,29 +213,47 @@ func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 			}
 		}
 	}
-	return rel.Dedup(out), nil
+	return out, nil
 }
 
-// fieldsForAttrs maps key attributes to the U fields populated by v's
-// attribute children; ok is false unless every attribute populates a field.
-func (e *Engine) fieldsForAttrs(v string, attrs []string) (rel.AttrSet, bool) {
-	rule := e.rule
+// keySet collects a variable's transitive keys, each once, in the order
+// they were first added. reset starts the next variable's set and keeps
+// the membership map's storage.
+type keySet struct {
+	keys []rel.AttrSet
+	seen map[string]struct{}
+	buf  []byte
+}
+
+func (s *keySet) reset() {
+	s.keys = nil
+	if s.seen == nil {
+		s.seen = make(map[string]struct{})
+	}
+	clear(s.seen)
+}
+
+func (s *keySet) add(k rel.AttrSet) {
+	s.buf = k.AppendKey(s.buf[:0])
+	if _, dup := s.seen[string(s.buf)]; dup {
+		return
+	}
+	s.seen[string(s.buf)] = struct{}{}
+	s.keys = append(s.keys, k)
+}
+
+// fieldsOf maps key attributes to the U fields populated by v's attribute
+// children; ok is false unless every attribute populates a field.
+func (e *Engine) fieldsOf(v int, attrs []string) (rel.AttrSet, bool) {
 	var fields rel.AttrSet
 	for _, a := range attrs {
 		found := false
-		for _, c := range rule.Children(v) {
-			m, _ := rule.Mapping(c)
-			name, isAttr := m.Path.AttributeName()
-			if !isAttr || m.Path.Len() != 1 || name != a {
-				continue
+		for _, af := range e.paths.vars[v].attrFields {
+			if af.name == a {
+				fields = fields.With(af.field)
+				found = true
+				break
 			}
-			f, hasField := rule.FieldOf(c)
-			if !hasField {
-				continue
-			}
-			fields = fields.With(rule.Schema.Index(f))
-			found = true
-			break
 		}
 		if !found {
 			return rel.AttrSet{}, false
@@ -373,7 +371,7 @@ func (e *Engine) lhsExistenceCovered(lhs rel.AttrSet, rhsAttr int) bool {
 		if len(attrs) == 0 {
 			continue
 		}
-		if e.dec.ExistsAllID(e.rootEntryOf(target).id, attrs) {
+		if e.dec.ExistsAllID(e.rootID(target), attrs) {
 			for _, f := range covered {
 				if lhsFields[f] {
 					delete(lhsFields, f)

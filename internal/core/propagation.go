@@ -26,10 +26,10 @@ import (
 // decider's memo table across the many related queries the algorithms
 // issue.
 //
-// An Engine is safe for concurrent use: the decider shares proved sub-goals
-// across goroutines, the root-path cache is lock-guarded, and the lazily
-// computed cover behind GPropagates is built exactly once. SetWorkers
-// configures the worker pool used by the batch entry points
+// An Engine is safe for concurrent use: the decider shares decided
+// sub-goals across goroutines, the path table is immutable once built,
+// and the lazily computed cover behind GPropagates is built exactly once.
+// SetWorkers configures the worker pool used by the batch entry points
 // (PropagatesAll) and by the candidate filters inside MinimumCover and
 // NaiveCover; it must be called before the engine is shared.
 type Engine struct {
@@ -41,10 +41,9 @@ type Engine struct {
 	// GOMAXPROCS for the batch API), n >= 1 = exactly n workers.
 	workers int
 
-	// rootPath caches P(v_r, x) per variable together with its interned ID
-	// in the decider's path universe; read-mostly after warm-up.
-	rootMu   sync.RWMutex
-	rootPath map[string]rootEntry
+	// paths is the rule's table tree with its paths interned in the
+	// decider's path universe, built once by NewEngineWithDecider.
+	paths pathTable
 
 	// cover caches MinimumCover for GPropagates. Unlike a sync.Once, the
 	// mutex+flag pair lets a cancelled build fail without poisoning the
@@ -58,12 +57,81 @@ type Engine struct {
 	coverIdx   *rel.FDIndex
 }
 
-// rootEntry pairs a root path with its interned ID, so the existence
-// closure can run ID-keyed against the compiled kernel.
-type rootEntry struct {
-	path xpath.Path
-	id   xpath.ID
+// pathTable holds the rule's variables in topological order (index 0 is
+// the root) with the paths the algorithms query, interned once per
+// engine: each variable's root path, and P(c, v) for each ancestor c,
+// concatenated from the parent's row and v's mapping with
+// Interner.ConcatIDs. An attribute variable's paths are interned without
+// their trailing attribute step, which the decider's attribute-step
+// reduction would strip.
+type pathTable struct {
+	index map[string]int
+	vars  []varPaths
 }
+
+// varPaths is one variable's row of the path table.
+type varPaths struct {
+	root xpath.Path // P(v_r, v) as the rule writes it
+	// anc lists v's ancestors from the root down, then v itself, so
+	// anc[d] is v's ancestor at depth d; up[d] is the ID of P(anc[d], v).
+	anc []int
+	up  []xpath.ID
+	// attr marks an attribute variable (its mapping ends in @a).
+	attr bool
+	// attrFields are v's attribute children that populate a field, as
+	// (attribute name, schema index), in declaration order.
+	attrFields []attrField
+}
+
+type attrField struct {
+	name  string
+	field int
+}
+
+func newPathTable(dec *xmlkey.Decider, rule *transform.Rule) pathTable {
+	in := dec.Interner()
+	eps := in.Epsilon()
+	names := rule.Vars()
+	pt := pathTable{index: make(map[string]int, len(names)), vars: make([]varPaths, len(names))}
+	for i, v := range names {
+		pt.index[v] = i
+		vp := &pt.vars[i]
+		m, ok := rule.Mapping(v)
+		if !ok {
+			vp.anc, vp.up = []int{i}, []xpath.ID{eps}
+			continue
+		}
+		// Vars lists parents before children, so the parent's row is built.
+		p := &pt.vars[pt.index[m.Src]]
+		vp.root = p.root.Concat(m.Path)
+		vp.attr = m.Path.HasAttribute()
+		vp.anc = append(append(make([]int, 0, len(p.anc)+1), p.anc...), i)
+		edge := in.Intern(m.Path.StripAttribute())
+		vp.up = make([]xpath.ID, len(vp.anc))
+		for d, id := range p.up {
+			vp.up[d] = in.ConcatIDs(id, edge)
+		}
+		vp.up[len(p.up)] = eps
+		if name, isAttr := m.Path.AttributeName(); isAttr && m.Path.Len() == 1 {
+			if f, hasField := rule.FieldOf(v); hasField {
+				p.attrFields = append(p.attrFields, attrField{name, rule.Schema.Index(f)})
+			}
+		}
+	}
+	return pt
+}
+
+// depth is v's depth in the table tree (the root's is 0).
+func (pt *pathTable) depth(v int) int { return len(pt.vars[v].anc) - 1 }
+
+// under reports whether u is v or a descendant of v.
+func (pt *pathTable) under(u, v int) bool {
+	d := pt.depth(v)
+	return pt.depth(u) >= d && pt.vars[u].anc[d] == v
+}
+
+// between returns the ID of P(c, v) for c an ancestor of v or v itself.
+func (pt *pathTable) between(c, v int) xpath.ID { return pt.vars[v].up[pt.depth(c)] }
 
 // NewEngine builds an engine for Σ and the rule.
 func NewEngine(sigma []xmlkey.Key, rule *transform.Rule) *Engine {
@@ -73,14 +141,14 @@ func NewEngine(sigma []xmlkey.Key, rule *transform.Rule) *Engine {
 // NewEngineWithDecider builds an engine over an existing implication
 // decider, sharing its memo table, interned path universe and compiled
 // containment kernel. This is the registry path: one compiled Σ serves
-// every table rule of a transformation, so sub-goals proved while
+// every table rule of a transformation, so sub-goals decided while
 // analyzing one rule warm the analyses of all the others. The decider's
 // Σ is the engine's Σ.
 func NewEngineWithDecider(dec *xmlkey.Decider, rule *transform.Rule) *Engine {
 	return &Engine{
-		dec:      dec,
-		rule:     rule,
-		rootPath: make(map[string]rootEntry),
+		dec:   dec,
+		rule:  rule,
+		paths: newPathTable(dec, rule),
 	}
 }
 
@@ -95,22 +163,12 @@ func (e *Engine) Rule() *transform.Rule { return e.rule }
 // Sigma returns the engine's key set.
 func (e *Engine) Sigma() []xmlkey.Key { return e.dec.Sigma() }
 
-func (e *Engine) rootEntryOf(x string) rootEntry {
-	e.rootMu.RLock()
-	ent, ok := e.rootPath[x]
-	e.rootMu.RUnlock()
-	if ok {
-		return ent
-	}
-	p := e.rule.PathFromRoot(x)
-	ent = rootEntry{path: p, id: e.dec.InternPath(p)}
-	e.rootMu.Lock()
-	e.rootPath[x] = ent
-	e.rootMu.Unlock()
-	return ent
-}
+// pathFromRoot returns P(v_r, x).
+func (e *Engine) pathFromRoot(x string) xpath.Path { return e.paths.vars[e.paths.index[x]].root }
 
-func (e *Engine) pathFromRoot(x string) xpath.Path { return e.rootEntryOf(x).path }
+// rootID returns the interned P(v_r, x) of an element variable x, the
+// path the existence closure asks about.
+func (e *Engine) rootID(x string) xpath.ID { return e.paths.vars[e.paths.index[x]].up[0] }
 
 // Propagates implements Algorithm propagation (Fig 5): it reports whether
 // Σ ⊨_σ (X → Y) — the FD holds on the rule's relation for every XML tree
@@ -216,7 +274,7 @@ func (e *Engine) propagatesOne(ctx context.Context, lhs rel.AttrSet, rhsAttr int
 		}
 		// exist() (Fig 5 lines 19–21): discharge X fields whose attributes
 		// are guaranteed to exist on every target node.
-		if len(attrs) > 0 && e.dec.ExistsAllID(e.rootEntryOf(target).id, attrs) {
+		if len(attrs) > 0 && e.dec.ExistsAllID(e.rootID(target), attrs) {
 			for _, f := range covered {
 				delete(ycheck, f)
 			}

@@ -111,7 +111,7 @@ func (e *Engine) findProvenance(fd rel.FD) (node string, chain []string, unique 
 				if len(sig.Attrs) == 0 {
 					continue
 				}
-				fields, okF := e.fieldsForAttrs(v, sig.Attrs)
+				fields, okF := e.fieldsOf(e.paths.index[v], sig.Attrs)
 				if !okF || !fields.SubsetOf(fd.Lhs) {
 					continue
 				}
@@ -121,7 +121,7 @@ func (e *Engine) findProvenance(fd rel.FD) (node string, chain []string, unique 
 				if !xmlkey.Implies([]xmlkey.Key{sig}, xmlkey.New("", ctxPath, relPath, sig.Attrs...)) {
 					continue
 				}
-				if !e.dec.ExistsAllID(e.rootEntryOf(v).id, sig.Attrs) {
+				if !e.dec.ExistsAllID(e.rootID(v), sig.Attrs) {
 					continue
 				}
 				for _, st := range cStates {

@@ -250,15 +250,18 @@ func (a AttrSet) Positions() []int {
 
 // key returns a map-key representation: the trimmed words encoded
 // big-endian, so that lexicographic order on keys matches cmpWords.
-func (a AttrSet) key() string {
+func (a AttrSet) key() string { return string(a.AppendKey(nil)) }
+
+// AppendKey appends a's map-key encoding to buf: the trimmed words,
+// big-endian. Two sets have the same encoding exactly when they are Equal.
+func (a AttrSet) AppendKey(buf []byte) []byte {
 	t := a.trim()
-	b := make([]byte, 0, len(t.words)*8)
 	for _, w := range t.words {
-		b = append(b,
+		buf = append(buf,
 			byte(w>>56), byte(w>>48), byte(w>>40), byte(w>>32),
 			byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
 	}
-	return string(b)
+	return buf
 }
 
 // cmpWords orders two trimmed word slices exactly as the lexicographic

@@ -252,7 +252,7 @@ func reduceLHS(work []FD) {
 			reduced = append(reduced[:0], lhs.words...)
 			reduced[b/64] &^= 1 << (uint(b) % 64)
 			x := AttrSet{words: reduced}.trim()
-			key = appendSetKey(key[:0], x)
+			key = x.AppendKey(key[:0])
 			off, ok := memo[string(key)]
 			if !ok {
 				ix.run(s, x, nil, nil)

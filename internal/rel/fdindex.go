@@ -288,7 +288,7 @@ func (ix *FDIndex) ClosureCtx(ctx context.Context, x AttrSet) (AttrSet, error) {
 func (ix *FDIndex) closure(ctx context.Context, x AttrSet) (AttrSet, error) {
 	s := ix.getScratch()
 	if ix.cache != nil {
-		s.keyBuf = appendSetKey(s.keyBuf[:0], x)
+		s.keyBuf = x.AppendKey(s.keyBuf[:0])
 		ix.cacheMu.RLock()
 		v, ok := ix.cache[string(s.keyBuf)]
 		ix.cacheMu.RUnlock()
@@ -434,16 +434,4 @@ func (ix *FDIndex) trace(x AttrSet) ([]DerivationStep, AttrSet) {
 		}
 	}
 	return steps, closure
-}
-
-// appendSetKey appends the AttrSet.key() encoding of x (trimmed words,
-// big-endian) to buf without allocating a string.
-func appendSetKey(buf []byte, x AttrSet) []byte {
-	t := x.trim()
-	for _, w := range t.words {
-		buf = append(buf,
-			byte(w>>56), byte(w>>48), byte(w>>40), byte(w>>32),
-			byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
-	}
-	return buf
 }

@@ -2,9 +2,9 @@ package xmlkey
 
 // Tests for the decider's abort plumbing: cancellation and cache budgets
 // must stop a query with a typed error, and — the soundness property — an
-// aborted query must never publish a tainted verdict into the shared memo.
-// The stress tests share one decider across goroutines and run under
-// -race.
+// aborted query must never publish a verdict the abort cut short into the
+// shared memo. The stress tests share one decider across goroutines and
+// run under -race.
 
 import (
 	"context"
@@ -106,7 +106,7 @@ func TestBudgetInternEntriesExhaustion(t *testing.T) {
 // goroutines hammer one decider, some with countdown contexts that abort
 // at seed-derived points, some unbudgeted. Afterwards, every query
 // re-answered on the torn decider must match a fresh decider — aborted
-// searches must not have published tainted refutations.
+// searches must not have published refutations their abort cut short.
 func TestMemoConsistencyAfterConcurrentAborts(t *testing.T) {
 	sigma := deepSigma(10)
 	var phis []Key
@@ -143,7 +143,7 @@ func TestMemoConsistencyAfterConcurrentAborts(t *testing.T) {
 			t.Fatalf("phi %d: post-stress query failed: %v", i, err)
 		}
 		if got != want {
-			t.Fatalf("phi %d: torn decider says %v, fresh says %v — tainted memo leak", i, got, want)
+			t.Fatalf("phi %d: torn decider says %v, fresh says %v — cut-short refutation leaked into the memo", i, got, want)
 		}
 	}
 }

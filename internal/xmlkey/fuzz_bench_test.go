@@ -86,15 +86,29 @@ func BenchmarkImplicationNegative(b *testing.B) {
 	}
 }
 
+// BenchmarkImplicationWarmDecider asks one goal over and over on one
+// decider: after the first call, both the proof and the refutation are
+// one read of the shared memo.
 func BenchmarkImplicationWarmDecider(b *testing.B) {
 	sigma := chainKeys(30)
-	phi := sigma[29]
-	d := NewDecider(sigma)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !d.Implies(phi) {
-			b.Fatal("expected implication")
-		}
+	deep := sigma[29]
+	for _, bc := range []struct {
+		name string
+		phi  Key
+		want bool
+	}{
+		{"positive", deep, true},
+		// The absolute key of the deepest level is not implied.
+		{"negative", New("", xpath.Epsilon, deep.Context.Concat(deep.Target), "a"), false},
+	} {
+		d := NewDecider(sigma)
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if d.Implies(bc.phi) != bc.want {
+					b.Fatalf("Implies(%s) != %v", bc.phi, bc.want)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package xmlkey
 
 import (
 	"context"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,6 +87,7 @@ type Decider struct {
 	in     *xpath.Interner
 	attrs  attrTable
 	sigs   []sigCompiled
+	lists  []AttrList // Σ's distinct non-empty attribute lists
 	shards [memoShards]memoShard
 	pool   sync.Pool // *query, reused so warm calls allocate nothing
 
@@ -140,6 +143,18 @@ func (s *memoShard) put(g goal, res bool) {
 	s.mu.Unlock()
 }
 
+// AttrList is a normalized attribute list interned in one Decider: the
+// attribute argument of ImpliesIDCtx, which therefore sorts, joins and
+// interns nothing. The zero value is the empty list.
+type AttrList struct {
+	names []string
+	id    uint32
+}
+
+// Names returns the sorted, '@'-less attribute names. The slice is shared
+// and must not be modified.
+func (a AttrList) Names() []string { return a.names }
+
 // attrTable interns normalized (sorted, deduplicated) attribute lists to
 // dense IDs. ID 0 is the empty list. Interning happens once per top-level
 // query — the per-goal strings.Join of the string-keyed design is gone.
@@ -187,6 +202,12 @@ func NewDecider(sigma []Key) *Decider {
 			attrs:   normalizeAttrs(sig.Attrs),
 			rootTgt: d.in.Intern(ctx.Concat(tgt)),
 		}
+		if len(sc.attrs) > 0 {
+			l := AttrList{names: sc.attrs, id: d.attrs.intern(sc.attrs)}
+			if !slices.ContainsFunc(d.lists, func(x AttrList) bool { return x.id == l.id }) {
+				d.lists = append(d.lists, l)
+			}
+		}
 		seen := make(map[sigSplit]bool)
 		for _, sp := range splitsAll(tgt) {
 			s := sigSplit{
@@ -202,7 +223,7 @@ func NewDecider(sigma []Key) *Decider {
 		d.sigs = append(d.sigs, sc)
 	}
 	d.pool.New = func() any {
-		return &query{d: d, local: make(map[goal]int8)}
+		return &query{d: d, local: make(map[goal]int32)}
 	}
 	return d
 }
@@ -233,27 +254,50 @@ func (dc *Decider) ImpliesCTCtx(ctx context.Context, c, t xpath.Path, attrs []st
 	return dc.impliesCT(ctx, c, t, attrs)
 }
 
-// impliesCT runs one top-level query. With a nil ctx no abort checks run
-// and the error is always nil — the legacy entry points keep their exact
-// cost. On abort the verdict is false and must be discarded: nothing
-// derived from an aborted search is published to the shared memo.
+// KeyAttrLists returns the distinct non-empty attribute lists of Σ's
+// keys, in order of first occurrence, interned once by NewDecider.
+func (dc *Decider) KeyAttrLists() []AttrList { return dc.lists }
+
+// ImpliesIDCtx is ImpliesCTCtx over a context and a target interned in
+// dc.Interner() and an attribute list from KeyAttrLists (or the zero
+// AttrList for ∅). A goal already in the shared memo is answered by one
+// memo read, with no Path built. The IDs may be attribute-final: the
+// attribute-step reduction then runs as in ImpliesCTCtx, but a caller that
+// interns the stripped target itself hits the memo directly.
+func (dc *Decider) ImpliesIDCtx(ctx context.Context, c, t xpath.ID, attrs AttrList) (bool, error) {
+	g := goal{ctx: c, tgt: t, attrs: attrs.id}
+	if res, ok := dc.shardFor(g).get(g); ok {
+		return res, nil
+	}
+	return dc.run(ctx, dc.in.PathOf(c), dc.in.PathOf(t), attrs.names, attrs.id)
+}
+
+// impliesCT runs one top-level query over Path arguments. With a nil ctx
+// no abort checks run and the error is always nil — the legacy entry
+// points keep their exact cost. On abort the verdict is false and must be
+// discarded.
 func (dc *Decider) impliesCT(ctx context.Context, c, t xpath.Path, attrs []string) (bool, error) {
 	attrs = normalizeAttrsIfNeeded(attrs)
-	attrsID := dc.attrs.intern(attrs)
-	q := dc.pool.Get().(*query)
-	q.ctx = ctx
+	return dc.run(ctx, c.Normalize(), t.Normalize(), attrs, dc.attrs.intern(attrs))
+}
+
+// run answers one top-level query on a pooled query state; q and t are
+// normalized and attrsID is the interned ID of the normalized attrs.
+func (dc *Decider) run(ctx context.Context, q, t xpath.Path, attrs []string, attrsID uint32) (bool, error) {
+	qr := dc.pool.Get().(*query)
+	qr.ctx = ctx
 	if ctx != nil {
-		q.bud = budget.From(ctx)
+		qr.bud = budget.From(ctx)
 	}
-	res, _ := q.impliesT(c.Normalize(), t.Normalize(), attrs, attrsID)
-	err := q.err
-	// Cycle-cut refutations are valid only within the query that assumed
-	// them; dropping the whole local state keeps answers independent of
-	// query order (and of goroutine interleaving). The abort state is
-	// per-query too.
-	clear(q.local)
-	q.ctx, q.bud, q.err, q.steps = nil, nil, nil, 0
-	dc.pool.Put(q)
+	res, _ := qr.impliesT(q, t, attrs, attrsID)
+	err := qr.err
+	// Refutations still pending here belong to components an abort cut
+	// short; they are dropped with the rest of the per-query state.
+	clear(qr.local)
+	qr.stack = qr.stack[:0]
+	qr.visits = 0
+	qr.ctx, qr.bud, qr.err, qr.steps = nil, nil, nil, 0
+	dc.pool.Put(qr)
 	if err != nil {
 		return false, err
 	}
@@ -263,10 +307,6 @@ func (dc *Decider) impliesCT(ctx context.Context, c, t xpath.Path, attrs []strin
 // MemoSize reports the approximate number of published memo entries.
 func (dc *Decider) MemoSize() int { return int(dc.memoCount.Load()) }
 
-// InternPath interns p into the decider's path universe, for callers that
-// want to cache IDs across many ExistsAllID queries.
-func (dc *Decider) InternPath(p xpath.Path) xpath.ID { return dc.in.Intern(p) }
-
 // Interner exposes the decider's path universe (shared, concurrency-safe).
 func (dc *Decider) Interner() *xpath.Interner { return dc.in }
 
@@ -275,7 +315,7 @@ func (dc *Decider) ExistsAll(p xpath.Path, attrs []string) bool {
 	return dc.ExistsAllID(dc.in.Intern(p), attrs)
 }
 
-// ExistsAllID is ExistsAll over an interned path ID (see InternPath). It
+// ExistsAllID is ExistsAll over an ID interned in Interner(). It
 // implements the paper's exist() closure against the compiled kernel: @a
 // is guaranteed on p-nodes if some σ ∈ Σ carries @a and p ⊆ Qσ/Q'σ.
 func (dc *Decider) ExistsAllID(pid xpath.ID, attrs []string) bool {
@@ -374,23 +414,29 @@ func (dc *Decider) shardFor(g goal) *memoShard {
 	return &dc.shards[h%memoShards]
 }
 
-// query is the state of one top-level implication query. The local map
-// carries the two memo states that are NOT order-independent and therefore
-// must never leak into the shared table: inProgress marks goals on the
-// current proof path (treated as refuted to cut cycles in the
-// least-fixpoint search; a goal on its own proof path cannot support
-// itself), tempNeg marks goals refuted under such a cycle-cut assumption
-// (valid only within this query).
+// query is the state of one top-level implication query: the search of
+// Tarjan's strongly connected components algorithm run over sub-goals.
+// Every goal the query expands gets a visit index; local maps each goal
+// that is in progress (on the current proof path) or refuted but not yet
+// published to that index, and stack holds the same goals in visit order.
+// Reading such a goal counts as refuted and records the reader's
+// assumption as the goal's index, so a refutation knows the lowest index
+// it assumed (its low). A refutation whose low is at least its own index
+// closes its component: every goal it assumed refuted was visited after
+// it and is refuted too, so the goal and everything pending above it on
+// the stack are published (see impliesT).
 type query struct {
 	d       *Decider
-	local   map[goal]int8
+	local   map[goal]int32
+	stack   []goal
+	visits  int32    // the last visit index handed out; indices start at 1
 	scratch []string // reused by the sorted attribute difference
 
 	// Abort plumbing (nil/zero for legacy unbudgeted queries): ctx and bud
 	// are checked every abortCheckStride goal expansions; the first
 	// failure latches into err and every further impliesT call returns
-	// immediately as a tainted refutation, so nothing an aborted search
-	// "decided" can reach the shared memo.
+	// immediately as a refutation with low abortLow, so nothing the abort
+	// cut short can close a component and reach the shared memo.
 	ctx   context.Context
 	bud   *budget.Budget
 	steps int
@@ -436,74 +482,99 @@ func (qr *query) aborted() bool {
 }
 
 const (
-	inProgress int8 = -1
-	tempNeg    int8 = -3
+	// settled is the low of a verdict that assumed nothing: a proof, a
+	// published memo entry, or a refutation whose component has closed.
+	settled int32 = math.MaxInt32
+	// abortLow is the low of an aborted goal: below every visit index, so
+	// no refutation that depends on the abort ever closes.
+	abortLow int32 = 0
 )
 
-// impliesT decides the goal and additionally reports whether the result was
-// tainted by an in-progress (cyclic) sub-goal. Tainted negative results are
-// not shared — a different proof path might still establish them — which
-// keeps the procedure deterministic regardless of query order. Positive
-// results are never tainted: a successful proof uses only genuine sub-proofs.
+// impliesT decides the goal and also returns its low: settled when the
+// verdict is definitive, otherwise the lowest visit index of a goal the
+// refutation assumed refuted (see query). Positive results are always
+// settled: a proof uses only genuine sub-proofs.
 //
 // Invariants: q and t are normalized (top-level queries normalize once;
 // Concat and Split preserve normalization), attrs is normalized and
 // attrsID is its interned ID (0 for the empty list).
-func (qr *query) impliesT(q, t xpath.Path, attrs []string, attrsID uint32) (bool, bool) {
+func (qr *query) impliesT(q, t xpath.Path, attrs []string, attrsID uint32) (bool, int32) {
 	// attribute-step reduction: a trailing attribute step is unique per
 	// parent node, so (Q, (P/@a, ∅)) follows from (Q, (P, ∅)); key-path
 	// sets on attribute-final targets only make sense empty.
 	if t.HasAttribute() {
 		if len(attrs) != 0 {
-			return false, false
+			return false, settled
 		}
 		t = t.StripAttribute()
 	}
 	if q.HasAttribute() {
-		return false, false
+		return false, settled
 	}
-	// Cancellation / budget exhaustion reads as a tainted refutation: it
-	// is never cached, and the latched error surfaces from impliesCT.
+	// Cancellation / budget exhaustion reads as a refutation that assumed
+	// everything: it is never cached, and the latched error surfaces from
+	// the top-level entry point.
 	if qr.aborted() {
-		return false, true
+		return false, abortLow
 	}
 
 	d := qr.d
 	g := goal{ctx: d.in.Intern(q), tgt: d.in.Intern(t), attrs: attrsID}
-	if _, ok := qr.local[g]; ok {
-		// inProgress: a cycle — the goal cannot support itself; tempNeg:
-		// refuted earlier in this query under a cycle-cut assumption.
-		// Either way: refuted here, tainted.
-		return false, true
+	if idx, ok := qr.local[g]; ok {
+		// In progress (a cycle: the goal cannot support itself) or refuted
+		// in a component that has not closed yet: refuted here, assuming
+		// idx's component closes refuted.
+		return false, idx
 	}
 	shard := d.shardFor(g)
 	if res, ok := shard.get(g); ok {
-		return res, false
+		return res, settled
 	}
-	qr.local[g] = inProgress
-	res, tainted := qr.prove(q, t, g, attrs, attrsID)
+	qr.visits++
+	idx := qr.visits
+	qr.local[g] = idx
+	base := len(qr.stack)
+	qr.stack = append(qr.stack, g)
+	res, low := qr.prove(q, t, g, attrs, attrsID)
 	switch {
 	case res:
+		// Publish the proof. The refutations pending above it may have
+		// assumed it refuted, so they are discarded unpublished.
 		shard.put(g, true)
 		d.memoCount.Add(1)
-		delete(qr.local, g)
-	case tainted:
-		qr.local[g] = tempNeg
+		qr.pop(base, false)
+		return true, settled
+	case low >= idx:
+		// The component closes: g and every refutation pending above it
+		// assumed only each other, so all of them are refuted.
+		qr.pop(base, true)
+		return false, settled
 	default:
-		shard.put(g, false)
-		d.memoCount.Add(1)
-		delete(qr.local, g)
+		return false, low
 	}
-	return res, tainted
 }
 
-func (qr *query) prove(q, t xpath.Path, g goal, attrs []string, attrsID uint32) (bool, bool) {
+// pop removes stack[base:] from the query's local state, publishing them
+// as refutations when publish is set.
+func (qr *query) pop(base int, publish bool) {
+	d := qr.d
+	for _, g := range qr.stack[base:] {
+		delete(qr.local, g)
+		if publish {
+			d.shardFor(g).put(g, false)
+			d.memoCount.Add(1)
+		}
+	}
+	qr.stack = qr.stack[:base]
+}
+
+func (qr *query) prove(q, t xpath.Path, g goal, attrs []string, attrsID uint32) (bool, int32) {
 	d := qr.d
 	// epsilon rule.
 	if t.IsEpsilon() && len(attrs) == 0 {
-		return true, false
+		return true, settled
 	}
-	tainted := false
+	low := settled
 
 	// Q/Q' interned at the ID level (no Path concatenation needed); only
 	// goals with attributes consult it.
@@ -515,11 +586,11 @@ func (qr *query) prove(q, t xpath.Path, g goal, attrs []string, attrsID uint32) 
 	// unique-target weakening: if the target is unique per context, only
 	// the existence of attrs remains to be discharged.
 	if len(attrs) > 0 && d.existsAllSorted(qtID, attrs) {
-		res, tnt := qr.impliesT(q, t, nil, 0)
+		res, l := qr.impliesT(q, t, nil, 0)
 		if res {
-			return true, false
+			return true, settled
 		}
-		tainted = tainted || tnt
+		low = min(low, l)
 	}
 
 	// direct rule, over the per-σ precompiled split decompositions.
@@ -534,28 +605,29 @@ func (qr *query) prove(q, t xpath.Path, g goal, attrs []string, attrsID uint32) 
 			continue
 		}
 		if d.coversDirect(sc, g.ctx, g.tgt) {
-			return true, false
+			return true, settled
 		}
 	}
 
 	// unique-prefix composition: split t ≡ t1/t2 with non-empty t1 unique
 	// under q and the remainder keyed under q/t1. splits only yields
 	// decompositions whose suffix is strictly shorter than t, so the
-	// recursion terminates.
+	// recursion terminates. The split t1 = t asks the goal itself when
+	// attrs is empty: that is the cycle every refuted uniqueness goal cuts.
 	for _, sp := range splits(t) {
 		t1, t2 := sp.prefix, sp.suffix
-		ok1, tnt1 := qr.impliesT(q, t1, nil, 0)
-		tainted = tainted || tnt1
+		ok1, l1 := qr.impliesT(q, t1, nil, 0)
+		low = min(low, l1)
 		if !ok1 {
 			continue
 		}
-		ok2, tnt2 := qr.impliesT(q.Concat(t1), t2, attrs, attrsID)
-		tainted = tainted || tnt2
+		ok2, l2 := qr.impliesT(q.Concat(t1), t2, attrs, attrsID)
+		low = min(low, l2)
 		if ok2 {
-			return true, false
+			return true, settled
 		}
 	}
-	return false, tainted
+	return false, low
 }
 
 // coversDirect reports whether σ implies the (Q, Q') pair by the

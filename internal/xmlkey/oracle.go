@@ -30,13 +30,13 @@ func OracleImpliesCT(sigma []Key, c, t xpath.Path, attrs []string) bool {
 	return o.implies(c.Normalize(), t.Normalize(), normalizeAttrs(attrs))
 }
 
-// oracleQuery is one top-level reference query. The memo uses the same
-// three-state discipline as Decider's per-query local map: inProgress
-// marks goals on the current proof path (cycle cut), oracleNeg marks
-// refutations (the oracle never outlives one query, so the
-// tainted/untainted distinction of the shared-memo design collapses —
-// within a single query, a cycle-cut refutation is simply a refutation,
-// exactly as in the pre-interning implementation).
+// oracleQuery is one top-level reference query. Its memo has three
+// states: oracleInProgress marks goals on the current proof path (read
+// as refuted, which cuts cycles), and oraclePos and oracleNeg mark
+// decided goals. A cycle-cut refutation is kept as a refutation for the
+// rest of the query, exactly as in the pre-interning implementation; the
+// Decider, whose memo outlives the query, publishes one only when its
+// strongly connected component of sub-goals closes.
 type oracleQuery struct {
 	sigma []Key
 	memo  map[string]int8

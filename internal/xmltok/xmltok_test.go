@@ -18,15 +18,15 @@ import (
 // collect drains a source into copied tokens (kind, offset, name parts,
 // label/code, attrs, data) so results survive the view lifetime.
 type flatTok struct {
-	kind   xmltok.Kind
-	off    int64
-	name   string
-	space  string
-	local  string
-	label  string
-	code   uint32
-	attrs  [][2]string
-	data   string
+	kind  xmltok.Kind
+	off   int64
+	name  string
+	space string
+	local string
+	label string
+	code  uint32
+	attrs [][2]string
+	data  string
 }
 
 func collect(t *testing.T, src xmltok.Source) ([]flatTok, error) {

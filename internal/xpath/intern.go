@@ -17,9 +17,9 @@ package xpath
 //
 // Caching verdicts in a shared table is sound because containment,
 // intersection and membership are pure functions of the two path languages:
-// unlike the cycle-cut refutations of the implication decider (which are
-// valid only within one proof search), a kernel verdict is
-// query-order-independent, so concurrent writers can only agree.
+// unlike a refutation of the implication decider that cut a cycle (which
+// holds only once its search has closed the cycle's component), a kernel
+// verdict is query-order-independent, so concurrent writers can only agree.
 //
 // The recursive DPs in contain.go are kept unchanged as the reference
 // oracle; the property and fuzz tests cross-check the kernels against them
