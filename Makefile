@@ -5,7 +5,7 @@ BENCH_SHRED_JSON ?= BENCH_shred.json
 BENCH_TOKENIZER_JSON ?= BENCH_tokenizer.json
 FUZZTIME ?= 30s
 
-.PHONY: build fmt test vet race stress fuzz-smoke bench bench-json bench-fdclosure bench-shred bench-tok bench-check serve-smoke diff-smoke soak-smoke load-smoke verify help
+.PHONY: build fmt test vet bench-vet race stress fuzz-smoke bench bench-json bench-fdclosure bench-shred bench-tok bench-check serve-smoke diff-smoke soak-smoke load-smoke verify help
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# bench-vet type-checks the end-to-end benchmark (e2ebench/, a module of
+# its own that replaces xkprop with this tree), so a change that removes
+# a name the benchmark uses fails here rather than when the benchmark is
+# built. It builds offline and writes no file into the tree.
+bench-vet:
+	cd e2ebench && $(GO) vet ./...
 
 # The race run uses -short: the §6 grid sweeps and the stress rounds are
 # trimmed to representative points so the race detector stays fast on
@@ -106,21 +113,20 @@ soak-smoke:
 	$(GO) run ./cmd/xksoak -seed 1 -duration 5s -workers 8
 
 # load-smoke drives the streaming shredding pipeline end to end: a
-# generated workload shredded at workers=1 and workers=4 must produce
-# byte-identical CSV output with the exact expected tuple count, a
-# key-violating fixture must be rejected with a typed FDViolation
-# carrying lineage, and no pipeline goroutine may outlive the run. See
-# internal/cli/xkload.go (runLoadSmoke).
+# generated workload shredded into a CSV sink must produce the exact
+# expected tuple count with no violations, a key-violating fixture must
+# be rejected with a typed FDViolation carrying lineage, and no goroutine
+# may outlive the runs. See internal/cli/xkload.go (runLoadSmoke).
 load-smoke:
 	$(GO) run ./cmd/xkload -smoke
 
-# Tier-1 verification (ROADMAP.md): build, the gofmt check, vet, tests, the race run (which
-# includes the fault-injection stress suites), the focused stress pass,
-# the xkserve end-to-end smoke, the differential cross-check smoke, the
-# short chaos soak, and the shredding-pipeline smoke. If a committed
-# bench trajectory is present, smoke-check that it is well-formed JSON
-# for its suite.
-verify: build fmt vet test race stress serve-smoke diff-smoke soak-smoke load-smoke
+# Tier-1 verification (ROADMAP.md): build, the gofmt check, vet, the
+# benchmark's vet, tests, the race run (which includes the
+# fault-injection stress suites), the focused stress pass, the xkserve
+# end-to-end smoke, the differential cross-check smoke, the short chaos
+# soak, and the shredding-pipeline smoke. If a committed bench trajectory
+# is present, smoke-check that it is well-formed JSON for its suite.
+verify: build fmt vet bench-vet test race stress serve-smoke diff-smoke soak-smoke load-smoke
 	@if [ -f $(BENCH_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_JSON); fi
 	@if [ -f $(BENCH_FDCLOSURE_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_FDCLOSURE_JSON); fi
 	@if [ -f $(BENCH_SHRED_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_SHRED_JSON); fi
@@ -132,6 +138,7 @@ help:
 	@echo "  fmt             fail if gofmt -l . lists any file"
 	@echo "  test            go test ./..."
 	@echo "  vet             go vet ./..."
+	@echo "  bench-vet       go vet ./... inside e2ebench/ (the benchmark still builds)"
 	@echo "  race            full test suite under -race -short"
 	@echo "  stress          fault-injection suites only, under -race -short"
 	@echo "  fuzz-smoke      run each fuzz target for FUZZTIME (default 30s)"
@@ -146,5 +153,5 @@ help:
 	@echo "  serve-smoke     boot xkserve on an ephemeral port and drive every endpoint"
 	@echo "  diff-smoke      cross-check every redundant decision path on a pinned seed"
 	@echo "  soak-smoke      short seeded chaos soak of xkserve behind the fault proxy"
-	@echo "  load-smoke      end-to-end shredding pipeline smoke (determinism, rejection, leaks)"
-	@echo "  verify          build + fmt + vet + test + race + stress + serve-smoke + diff-smoke + soak-smoke + load-smoke + bench JSON checks"
+	@echo "  load-smoke      end-to-end shredding pipeline smoke (exact counts, rejection, leaks)"
+	@echo "  verify          build + fmt + vet + bench-vet + test + race + stress + serve-smoke + diff-smoke + soak-smoke + load-smoke + bench JSON checks"

@@ -143,20 +143,8 @@ type StreamDecodeError = stream.DecodeError
 // once that many violations are collected). The violations found before an
 // abort are returned alongside the error.
 func StreamValidateCtx(ctx context.Context, r io.Reader, sigma []Key) (vs []StreamViolation, err error) {
-	return StreamValidateDecoderCtx(ctx, r, sigma, "")
-}
-
-// StreamValidateDecoderCtx is StreamValidateCtx with an explicit decoder:
-// "fast" selects the zero-copy tokenizer (also the default for ""), "std"
-// the encoding/xml oracle. Any other name is rejected before the document
-// is read. Both decoders produce identical violation lists, offsets
-// included; std is retained for differential checking.
-func StreamValidateDecoderCtx(ctx context.Context, r io.Reader, sigma []Key, decoder string) (vs []StreamViolation, err error) {
 	defer guard(&err)
 	v := stream.NewValidator(sigma)
-	if err = v.SetDecoder(decoder); err != nil {
-		return nil, err
-	}
 	err = v.RunCtx(ctx, r)
 	return v.Violations(), err
 }

@@ -34,8 +34,9 @@ const (
 	InternEntries Resource = "interner entries"
 	// StreamDepth caps the open-element depth of the streaming validator.
 	StreamDepth Resource = "stream depth"
-	// Violations caps the number of violations the streaming validator
-	// collects before aborting the run.
+	// Violations caps the violations one run collects: the streaming
+	// validator's key violations, and in a shredding run its key and FD
+	// violations together. The run aborts once the count reaches the cap.
 	Violations Resource = "violations"
 	// CandidateKeys caps the number of candidate superkeys the
 	// Lucchesi–Osborn enumeration explores (explored, not returned: the
@@ -114,7 +115,9 @@ type Budget struct {
 	MaxInternEntries int
 	// MaxStreamDepth caps the streaming validator's element depth.
 	MaxStreamDepth int
-	// MaxViolations caps collected stream violations before aborting.
+	// MaxViolations aborts a run once it has collected this many
+	// violations: key violations in stream validation, key and FD
+	// violations together in a shredding run.
 	MaxViolations int
 	// MaxCandidateKeys caps explored candidates in key enumeration.
 	MaxCandidateKeys int

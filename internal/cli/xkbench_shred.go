@@ -18,13 +18,11 @@ import (
 )
 
 // This file implements xkbench's shred suite: the streaming shredding
-// data plane measured end to end — one decoder pass, incremental
+// data plane measured end to end — one tokenizer pass, incremental
 // evaluation, online dedup and propagated-FD enforcement — over a grid of
-// workload shapes and document fanouts. Every cell is measured twice,
-// sequential (workers=1) and parallel (workers=GOMAXPROCS), and the suite
-// verifies on every cell that the two produce identical instances, that
-// tuples flowed, and that the conforming corpus stays violation-free; the
-// committed JSON re-asserts those gates under -check-json.
+// workload shapes and document fanouts. The suite verifies on every cell
+// that tuples flowed and that the conforming corpus stays violation-free;
+// the committed JSON re-asserts those gates under -check-json.
 
 // shredPoint is one (config, op) measurement.
 type shredPoint struct {
@@ -34,7 +32,7 @@ type shredPoint struct {
 	Keys        int     `json:"keys"`
 	Width       int     `json:"width"`
 	Fanout      int     `json:"fanout"`
-	Op          string  `json:"op"` // shred_seq, shred_par
+	Op          string  `json:"op"` // shred
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -44,9 +42,6 @@ type shredPoint struct {
 	Tuples     int64 `json:"tuples"`
 	Violations int   `json:"violations"`
 	DocBytes   int   `json:"doc_bytes"`
-	// ParMatchesSeq records the cell's determinism cross-check: the
-	// parallel run's instance is identical to the sequential run's.
-	ParMatchesSeq bool `json:"par_matches_seq"`
 }
 
 // shredReport is the top-level JSON document (suite "shred").
@@ -119,58 +114,25 @@ func shredRun(stdout io.Writer) (shredReport, error) {
 		}
 		covers := map[string][]rel.FD{wl.Rule.Schema.Name: cover}
 
-		// Sanity and determinism gates, once per cell: tuples flow, the
-		// conforming corpus is clean, and the parallel instance is
-		// identical to the sequential one.
-		runInto := func(workers int) (*shred.Result, map[string]*rel.Relation, error) {
-			ms := shred.NewMemorySink()
-			res, err := c.Run(ctx, strings.NewReader(doc), ms, shred.Options{
-				Workers: workers, Sigma: wl.Sigma, Covers: covers,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, r := range ms.Relations() {
-				r.Sort()
-			}
-			return res, ms.Relations(), nil
-		}
-		seqRes, seqInst, err := runInto(1)
+		// Sanity gates, once per cell: tuples flow and the conforming
+		// corpus is clean.
+		opts := shred.Options{Sigma: wl.Sigma, Covers: covers}
+		res, err := c.Run(ctx, strings.NewReader(doc), shred.Discard{}, opts)
 		if err != nil {
 			return rep, err
-		}
-		_, parInst, err := runInto(rep.GOMAXPROCS)
-		if err != nil {
-			return rep, err
-		}
-		matches := len(seqInst) == len(parInst)
-		for name, s := range seqInst {
-			if p, ok := parInst[name]; !ok || p.String() != s.String() {
-				matches = false
-			}
 		}
 		base := shredPoint{
-			Tuples:        seqRes.Tuples(),
-			Violations:    len(seqRes.Violations) + len(seqRes.StreamViolations),
-			DocBytes:      len(doc),
-			ParMatchesSeq: matches,
+			Tuples:     res.Tuples(),
+			Violations: len(res.Violations) + len(res.StreamViolations),
+			DocBytes:   len(doc),
 		}
-
-		for _, op := range []struct {
-			name    string
-			workers int
-		}{{"shred_seq", 1}, {"shred_par", rep.GOMAXPROCS}} {
-			workers := op.workers
-			shredMeasure(&rep, stdout, sc, op.name, base, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Run(ctx, strings.NewReader(doc), shred.Discard{}, shred.Options{
-						Workers: workers, Sigma: wl.Sigma, Covers: covers,
-					}); err != nil {
-						b.Fatal(err)
-					}
+		shredMeasure(&rep, stdout, sc, "shred", base, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Run(ctx, strings.NewReader(doc), shred.Discard{}, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 	return rep, nil
 }
@@ -222,9 +184,7 @@ func checkShredReport(path string, rep *shredReport) error {
 			return fmt.Errorf("%s: %s: non-positive timing (%g ns/op over %d iterations)",
 				path, p.Name, p.NsPerOp, p.Iterations)
 		}
-		switch p.Op {
-		case "shred_seq", "shred_par":
-		default:
+		if p.Op != "shred" {
 			return fmt.Errorf("%s: %s: unknown op %q", path, p.Name, p.Op)
 		}
 		if p.Tuples <= 0 {
@@ -233,9 +193,6 @@ func checkShredReport(path string, rep *shredReport) error {
 		if p.Violations != 0 {
 			return fmt.Errorf("%s: %s: %d violations on the conforming corpus, want 0",
 				path, p.Name, p.Violations)
-		}
-		if !p.ParMatchesSeq {
-			return fmt.Errorf("%s: %s: parallel instance differs from sequential", path, p.Name)
 		}
 		if p.DocBytes <= 0 {
 			return fmt.Errorf("%s: %s: empty document", path, p.Name)
@@ -260,7 +217,7 @@ type shredCellKey struct {
 }
 
 // shredCeilings pins the zero-copy tokenizer's headline win on the
-// fields=8 sequential cells: the ceilings are the committed encoding/xml
+// fields=8 cells: the ceilings are the committed encoding/xml
 // pipeline baselines (248785 ns / 3611 allocs at fanout=4, 913263 ns /
 // 12710 allocs at fanout=8, GOMAXPROCS=1) divided by the required 2x
 // (time) and 3x (allocations) improvement factors.
@@ -268,6 +225,6 @@ var shredCeilings = map[shredCellKey]struct {
 	ns     float64
 	allocs int64
 }{
-	{8, 4, "shred_seq"}: {ns: 124392, allocs: 1203},
-	{8, 8, "shred_seq"}: {ns: 456631, allocs: 4236},
+	{8, 4, "shred"}: {ns: 124392, allocs: 1203},
+	{8, 8, "shred"}: {ns: 456631, allocs: 4236},
 }

@@ -28,16 +28,11 @@ func RunXkcheck(args []string, stdout, stderr io.Writer) int {
 		"streaming: reject documents nesting deeper than this many elements (0 = no cap)")
 	maxViolations := fs.Int("max-violations", 0,
 		"streaming: stop with an error after this many violations (0 = no cap)")
-	decoder := fs.String("decoder", "fast",
-		"streaming: XML decoder, fast (zero-copy tokenizer) or std (encoding/xml oracle)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if !*streaming && (*maxDepth > 0 || *maxViolations > 0) {
 		return usage(stderr, "xkcheck: -max-depth and -max-violations require -stream")
-	}
-	if !*streaming && *decoder != "fast" {
-		return usage(stderr, "xkcheck: -decoder requires -stream")
 	}
 
 	var docPath string
@@ -78,7 +73,7 @@ func RunXkcheck(args []string, stdout, stderr io.Writer) int {
 
 	if *streaming {
 		return xkcheckStream(stdout, stderr, sigma, docPath, *demo, *quiet,
-			deadline, *maxDepth, *maxViolations, *decoder)
+			deadline, *maxDepth, *maxViolations)
 	}
 
 	var doc *xkprop.Tree
@@ -107,7 +102,7 @@ func RunXkcheck(args []string, stdout, stderr io.Writer) int {
 }
 
 func xkcheckStream(stdout, stderr io.Writer, sigma []xkprop.Key, docPath string, demo, quiet bool,
-	deadline Deadline, maxDepth, maxViolations int, decoder string) int {
+	deadline Deadline, maxDepth, maxViolations int) int {
 	var r io.Reader
 	if demo {
 		r = strings.NewReader(paperdata.Fig1XML)
@@ -134,7 +129,7 @@ func xkcheckStream(stdout, stderr io.Writer, sigma []xkprop.Key, docPath string,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	vs, err := xkprop.StreamValidateDecoderCtx(ctx, r, sigma, decoder)
+	vs, err := xkprop.StreamValidateCtx(ctx, r, sigma)
 	if err != nil {
 		return failOrAbort(stderr, "xkcheck", err)
 	}

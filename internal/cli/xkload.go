@@ -38,8 +38,6 @@ func RunXkload(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "csv", "sink format with -out: csv, ndjson or sql")
 	dialect := fs.String("dialect", "standard", "SQL dialect for -format sql: standard, sqlite or mysql")
 	out := fs.String("out", "", "output directory (omitted: count and check without materializing)")
-	workers := fs.Int("workers", 0,
-		"cross-rule parallelism; output bytes are identical for every value (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, fmt.Sprintf("tuples per sink write (0 = %d)", shred.DefaultBatchSize))
 	strict := fs.Bool("strict", false, "exit 1 when any key or propagated FD is violated")
 	maxTuples := fs.Int("max-tuples", 0,
@@ -47,12 +45,11 @@ func RunXkload(args []string, stdout, stderr io.Writer) int {
 	maxFD := fs.Int("max-fd-entries", 0,
 		"budget: abort when the FD hash indexes hold this many entries (0 = no cap; aborts, never evicts)")
 	maxDepth := fs.Int("max-depth", 10_000, "budget: max element nesting (0 = no cap)")
-	maxViol := fs.Int("max-violations", 10_000, "budget: abort past this many violations (0 = no cap)")
-	decoder := fs.String("decoder", "fast",
-		"XML decoder: fast (zero-copy tokenizer) or std (encoding/xml oracle)")
+	maxViol := fs.Int("max-violations", 10_000,
+		"budget: abort once key and FD violations together reach this many (0 = no cap)")
 	dl := DeadlineFlag(fs)
 	smoke := fs.Bool("smoke", false,
-		"self-test: shred a generated corpus, verify counts, determinism, FD enforcement and goroutine hygiene, exit")
+		"self-test: shred a generated corpus, verify counts, FD enforcement and goroutine hygiene, exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -137,11 +134,9 @@ func RunXkload(args []string, stdout, stderr io.Writer) int {
 			sink, _ = shred.SinkFor(*format, dir, sqlgen.Options{Dialect: *dialect})
 		}
 		res, err := c.Run(ctx, r, sink, shred.Options{
-			Workers:   *workers,
 			BatchSize: *batch,
 			Sigma:     sigma,
 			Covers:    covers,
-			Decoder:   *decoder,
 		})
 		if f, ok := r.(*os.File); ok && f != os.Stdin {
 			f.Close()
@@ -221,10 +216,9 @@ const loadViolDoc = `<db><book isbn="1"><chapter number="1"><name>A</name></chap
 
 // runLoadSmoke is xkload -smoke: an end-to-end self-test of the shredding
 // data plane with no external inputs. It shreds a generated corpus with
-// exactly known cardinalities, checks determinism across worker counts by
-// byte-comparing sink directories, confirms the violating fixture yields
-// a typed FDViolation with lineage, and verifies every pipeline goroutine
-// is gone afterward.
+// exactly known cardinalities into a CSV sink, confirms the violating
+// fixture yields a typed FDViolation with lineage, and verifies no
+// goroutine the runs started outlives them.
 func runLoadSmoke(stdout, stderr io.Writer) int {
 	watermark := testutil.GoroutineWatermark()
 	failed := false
@@ -252,32 +246,20 @@ func runLoadSmoke(stdout, stderr io.Writer) int {
 	}
 	defer os.RemoveAll(tmp)
 
-	dirs := map[int]string{}
-	for _, workers := range []int{1, 4} {
-		dir := filepath.Join(tmp, fmt.Sprintf("w%d", workers))
-		dirs[workers] = dir
-		res, err := shred.Run(context.Background(), tr, strings.NewReader(doc),
-			shred.NewCSVSink(dir), shred.Options{
-				Workers: workers, BatchSize: 8, Sigma: wl.Sigma, Covers: covers,
-			})
-		if err != nil {
-			errorf("workers=%d: %v", workers, err)
-			continue
-		}
-		if !res.OK() {
-			errorf("workers=%d: corpus not clean: %d key + %d FD violations",
-				workers, len(res.StreamViolations), len(res.Violations))
-		}
-		if got := res.Tuples(); got != 27 {
-			errorf("workers=%d: %d tuples, want exactly 27", workers, got)
-		}
-	}
-	if !failed {
-		if err := compareDirs(dirs[1], dirs[4]); err != nil {
-			errorf("workers=1 vs workers=4: %v", err)
-		} else {
-			fmt.Fprintln(stdout, "load-smoke: corpus: 27/27 tuples, clean, workers 1 and 4 byte-identical")
-		}
+	res, err := shred.Run(context.Background(), tr, strings.NewReader(doc),
+		shred.NewCSVSink(tmp), shred.Options{
+			BatchSize: 8, Sigma: wl.Sigma, Covers: covers,
+		})
+	switch {
+	case err != nil:
+		errorf("corpus: %v", err)
+	case !res.OK():
+		errorf("corpus not clean: %d key + %d FD violations",
+			len(res.StreamViolations), len(res.Violations))
+	case res.Tuples() != 27:
+		errorf("corpus: %d tuples, want exactly 27", res.Tuples())
+	default:
+		fmt.Fprintln(stdout, "load-smoke: corpus: 27/27 tuples, clean")
 	}
 
 	// --- The violating fixture must produce a typed FDViolation carrying
@@ -289,7 +271,7 @@ func runLoadSmoke(stdout, stderr io.Writer) int {
 		errorf("fixture cover: %v", err)
 		return 1
 	}
-	res, err := shred.Run(context.Background(), btr, strings.NewReader(loadViolDoc),
+	res, err = shred.Run(context.Background(), btr, strings.NewReader(loadViolDoc),
 		shred.Discard{}, shred.Options{
 			Sigma: sigma, Covers: map[string][]rel.FD{"chapter": bcover},
 		})
@@ -307,7 +289,7 @@ func runLoadSmoke(stdout, stderr io.Writer) int {
 			len(res.Violations))
 	}
 
-	// --- Goroutine hygiene: every worker the runs spawned must be gone. ---
+	// --- Goroutine hygiene: no goroutine may outlive the runs. ---
 	if err := testutil.WaitGoroutinesReturn(watermark, 10*time.Second); err != nil {
 		errorf("%v", err)
 	}
@@ -317,33 +299,4 @@ func runLoadSmoke(stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "load-smoke: ok")
 	return 0
-}
-
-// compareDirs asserts two directories hold byte-identical same-named files.
-func compareDirs(a, b string) error {
-	ea, err := os.ReadDir(a)
-	if err != nil {
-		return err
-	}
-	eb, err := os.ReadDir(b)
-	if err != nil {
-		return err
-	}
-	if len(ea) != len(eb) {
-		return fmt.Errorf("%d files vs %d files", len(ea), len(eb))
-	}
-	for _, e := range ea {
-		ba, err := os.ReadFile(filepath.Join(a, e.Name()))
-		if err != nil {
-			return err
-		}
-		bb, err := os.ReadFile(filepath.Join(b, e.Name()))
-		if err != nil {
-			return err
-		}
-		if string(ba) != string(bb) {
-			return fmt.Errorf("%s differs", e.Name())
-		}
-	}
-	return nil
 }

@@ -50,7 +50,7 @@ func RunXkserve(args []string, stdout, stderr io.Writer) int {
 	maxStreamDepth := fs.Int("max-stream-depth", 10_000,
 		"budget: max element nesting for /v1/validate (0 = no cap)")
 	maxViolations := fs.Int("max-violations", 10_000,
-		"budget: abort /v1/validate after this many violations (0 = no cap)")
+		"budget: abort /v1/validate and /v1/shred once they collect this many violations, key and FD together (0 = no cap)")
 	maxCandidates := fs.Int("max-candidates", 100_000,
 		"budget: candidate superkeys explored by /v1/candidates (0 = no cap)")
 	maxEnumFields := fs.Int("max-enum-fields", 0,

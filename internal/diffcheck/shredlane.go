@@ -127,9 +127,8 @@ func (h *harness) checkShredCase(ctx context.Context, c shredCase) ([]Disagreeme
 	schema := c.rule.Schema
 	ms := shred.NewMemorySink()
 	res, err := shred.Run(ctx, tr, strings.NewReader(c.doc), ms, shred.Options{
-		Workers: 1,
-		Sigma:   c.sigma,
-		Covers:  map[string][]rel.FD{schema.Name: cover},
+		Sigma:  c.sigma,
+		Covers: map[string][]rel.FD{schema.Name: cover},
 	})
 	if err != nil {
 		return nil, false, fmt.Errorf("shred lane: pipeline failed on a well-formed document: %w", err)

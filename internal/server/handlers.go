@@ -22,7 +22,6 @@ import (
 	"xkprop/internal/sqlgen"
 	"xkprop/internal/stream"
 	"xkprop/internal/xmlkey"
-	"xkprop/internal/xmltok"
 )
 
 // schemaRequest carries the source texts every analysis endpoint accepts.
@@ -250,18 +249,13 @@ func (s *Server) handleDDL(ctx context.Context, r *http.Request) (any, error) {
 //     validator as it arrives, and the key set comes url-encoded in the
 //     ?keys= query parameter. This is the large-document path: memory is
 //     proportional to open contexts, not document size.
-//
-// Both shapes accept a decoder selection ("decoder" JSON field or
-// ?decoder= query parameter): "fast" (the zero-copy tokenizer, the
-// default) or "std" (the encoding/xml oracle).
 func (s *Server) handleValidate(ctx context.Context, r *http.Request) (any, error) {
-	var sigmaText, decoder string
+	var sigmaText string
 	var doc io.Reader
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var req struct {
 			Keys     string `json:"keys"`
 			Document string `json:"document"`
-			Decoder  string `json:"decoder"`
 		}
 		if err := decodeJSON(r, &req); err != nil {
 			return nil, err
@@ -269,22 +263,15 @@ func (s *Server) handleValidate(ctx context.Context, r *http.Request) (any, erro
 		if req.Document == "" {
 			return nil, inputErr(`missing "document"`)
 		}
-		sigmaText, doc, decoder = req.Keys, strings.NewReader(req.Document), req.Decoder
+		sigmaText, doc = req.Keys, strings.NewReader(req.Document)
 	} else {
-		q := r.URL.Query()
-		sigmaText, doc, decoder = q.Get("keys"), r.Body, q.Get("decoder")
-	}
-	if err := checkDecoder(decoder); err != nil {
-		return nil, err
+		sigmaText, doc = r.URL.Query().Get("keys"), r.Body
 	}
 	art, err := s.artifact(ctx, sigmaText, "")
 	if err != nil {
 		return nil, err
 	}
 	v := stream.NewValidator(art.Sigma)
-	if err := v.SetDecoder(decoder); err != nil {
-		return nil, inputErr("%v", err)
-	}
 	if err := v.RunCtx(ctx, doc); err != nil {
 		return nil, err
 	}
@@ -309,22 +296,18 @@ func (s *Server) handleValidate(ctx context.Context, r *http.Request) (any, erro
 //   - any other content type: the body IS the XML stream, with ?keys=
 //     and ?transform= url-encoded.
 //
-// The decoder selection of /v1/validate ("decoder" field or ?decoder=)
-// applies here too and drives the pipeline's single token pass.
-//
 // Tuples are counted, deduplicated and checked, then discarded — the
 // service returns the verdict and tallies, never the data. Abort-
 // soundness: a budget or deadline abort yields only the typed error
 // body; a partial violation list is never presented as the verdict.
 func (s *Server) handleShred(ctx context.Context, r *http.Request) (any, error) {
-	var keysText, trText, decoder string
+	var keysText, trText string
 	var doc io.Reader
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var req struct {
 			Keys      string `json:"keys"`
 			Transform string `json:"transform"`
 			Document  string `json:"document"`
-			Decoder   string `json:"decoder"`
 		}
 		if err := decodeJSON(r, &req); err != nil {
 			return nil, err
@@ -332,13 +315,10 @@ func (s *Server) handleShred(ctx context.Context, r *http.Request) (any, error) 
 		if req.Document == "" {
 			return nil, inputErr(`missing "document"`)
 		}
-		keysText, trText, doc, decoder = req.Keys, req.Transform, strings.NewReader(req.Document), req.Decoder
+		keysText, trText, doc = req.Keys, req.Transform, strings.NewReader(req.Document)
 	} else {
 		q := r.URL.Query()
-		keysText, trText, doc, decoder = q.Get("keys"), q.Get("transform"), r.Body, q.Get("decoder")
-	}
-	if err := checkDecoder(decoder); err != nil {
-		return nil, err
+		keysText, trText, doc = q.Get("keys"), q.Get("transform"), r.Body
 	}
 	if strings.TrimSpace(trText) == "" {
 		return nil, inputErr(`missing "transform": shredding needs table rules`)
@@ -365,7 +345,6 @@ func (s *Server) handleShred(ctx context.Context, r *http.Request) (any, error) 
 		Sigma:   art.Sigma,
 		Covers:  covers,
 		Metrics: s.set,
-		Decoder: decoder,
 	})
 	if err != nil {
 		return nil, err
@@ -390,14 +369,4 @@ func (s *Server) handleShred(ctx context.Context, r *http.Request) (any, error) 
 		"key_violations": kvs,
 		"fd_violations":  fdvs,
 	}, nil
-}
-
-// checkDecoder rejects an unknown decoder selection as a client input
-// error before any work (or body streaming) happens. "" means fast.
-func checkDecoder(name string) error {
-	switch name {
-	case "", xmltok.DecoderFast, xmltok.DecoderStd:
-		return nil
-	}
-	return inputErr("bad \"decoder\" %q: want %s or %s", name, xmltok.DecoderFast, xmltok.DecoderStd)
 }

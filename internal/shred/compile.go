@@ -1,12 +1,11 @@
 // Package shred is the streaming XML→relational data plane: one pass
 // over xmltok's zero-copy token stream evaluates a compiled Def 2.2
 // transformation incrementally (no xmltree materialization on the hot
-// path), hands each closed block of bindings to its rule's worker over a
-// bounded channel, and there enumerates the block's null-subtree
-// Cartesian product row by row — no block's rows are ever materialized —
-// deduplicating, writing distinct tuples to the sink in batches, and
-// enforcing the propagated minimum cover online through per-FD hash
-// indexes. The analysis plane (core, xmlkey) proves that the propagated
+// path) and, as each block of bindings closes, enumerates the block's
+// null-subtree Cartesian product row by row on the same goroutine — no
+// block's rows are ever materialized — deduplicating, writing distinct
+// tuples to the sink in batches, and enforcing the propagated minimum
+// cover online through per-FD hash indexes. The analysis plane (core, xmlkey) proves that the propagated
 // FDs hold on every instance shredded from a valid document; this
 // package is where that guarantee meets real data — a violated FD
 // surfaces as a typed FDViolation carrying the conflicting tuples, their

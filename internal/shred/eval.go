@@ -13,11 +13,12 @@ package shred
 // once per element and only when a binding actually anchors there — so
 // elements that bind nothing cost word-sized NFA steps and no heap.
 //
-// A closed block of bindings is handed to its rule's worker as is: the
-// decoder only counts its rows and charges the tuple budget. The worker
-// enumerates the block's Cartesian product in place (product), so no
-// block's rows are ever materialized and a row's lineage stays a list of
-// binding pointers until an FD violation renders it.
+// A closed block of bindings is handed to its rule as is: the evaluator
+// only counts its rows and charges the tuple budget, and the rule then
+// enumerates the block's Cartesian product in place (product) before the
+// next token is read, so no block's rows are ever materialized and a
+// row's lineage stays a list of binding pointers until an FD violation
+// renders it.
 
 import (
 	"bytes"
@@ -54,10 +55,9 @@ type bind struct {
 	kids [][]*bind // per child slot, bindings in document order
 }
 
-// block is one closed binding handed from the decoder to its rule's
-// worker, with the number of rows its product holds; a nil binding stands
-// for the single all-null row. After the hand-off only the worker touches
-// the binding tree.
+// block is one closed binding handed from the evaluator to its rule,
+// with the number of rows its product holds; a nil binding stands for the
+// single all-null row.
 type block struct {
 	b    *bind
 	rows uint64
@@ -372,7 +372,7 @@ func (e *evaluator) finish() error {
 }
 
 // handOff charges a closed block's raw row count against the tuple budget
-// and sends the block to rule ri's worker; b == nil is the all-null row.
+// and hands the block to rule ri; b == nil is the all-null row.
 func (e *evaluator) handOff(ri int, b *bind) error {
 	rows, raw := uint64(1), uint64(1)
 	if b != nil {
@@ -514,7 +514,7 @@ func (l lineage) clone() lineage {
 	return out
 }
 
-// product enumerates one block's Cartesian product on the rule's worker,
+// product enumerates one block's Cartesian product for its rule,
 // one row at a time in a reused scratch tuple. The order is the one of a
 // slot-by-slot expansion: the binding's own value joined with, per child
 // slot, the concatenation of each child binding's product in document

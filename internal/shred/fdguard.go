@@ -5,13 +5,13 @@ package shred
 // RHS projection. The null semantics mirror rel.CheckFD exactly —
 // condition 1 (a tuple null on the LHS must be all-null on the RHS) is
 // per-tuple, condition 2 compares only tuples free of nulls, keeping the
-// first tuple of each LHS group as the witness.
+// first tuple of each LHS group as the witness. The guard runs inline as
+// each row is enumerated, so its state needs no synchronisation.
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"xkprop/internal/budget"
 	"xkprop/internal/rel"
@@ -101,9 +101,9 @@ type guardEntry struct {
 	witness *guardTuple
 }
 
-// fdGuard enforces one rule's FDs. It is owned by that rule's worker
-// goroutine; the entry and violation counters are shared across rules
-// (atomics) so the budget caps bound the whole run.
+// fdGuard enforces one rule's FDs. The entry and violation counts live in
+// the run's runCaps, shared across rules, so the budget caps bound the
+// whole run.
 type fdGuard struct {
 	table      string
 	schema     *rel.Schema
@@ -113,20 +113,16 @@ type fdGuard struct {
 	rhsPos     [][]int  // per FD, ascending RHS column positions
 	idx        []map[string]guardEntry
 	scratch    []byte
-	entries    *atomic.Int64
-	maxEntries int
-	violTotal  *atomic.Int64
-	maxViol    int
+	caps       *runCaps
 	checks     int64
 	violations []FDViolation
 }
 
-func newFDGuard(table string, schema *rel.Schema, fds []rel.FD, entries *atomic.Int64, maxEntries int, violTotal *atomic.Int64, maxViol int) *fdGuard {
+func newFDGuard(table string, schema *rel.Schema, fds []rel.FD, caps *runCaps) *fdGuard {
 	g := &fdGuard{
 		table: table, schema: schema, fds: fds,
-		fdStr:   make([]string, len(fds)),
-		entries: entries, maxEntries: maxEntries,
-		violTotal: violTotal, maxViol: maxViol,
+		fdStr: make([]string, len(fds)),
+		caps:  caps,
 	}
 	for _, fd := range fds {
 		g.lhsPos = append(g.lhsPos, fd.Lhs.Positions())
@@ -151,9 +147,9 @@ func appendProjKey(dst []byte, t rel.Tuple, pos []int) []byte {
 
 // check runs one stored tuple through every FD; lin is the enumerating
 // product's lineage, valid only during the call. Violations accumulate on
-// the guard; a typed *budget.Error aborts the run when the index or
-// violation cap is exhausted (abort, never evict — see
-// budget.FDIndexEntries).
+// the guard; a typed *budget.Error aborts the run when the index cap is
+// exceeded or the run's violation count reaches its cap (abort, never
+// evict — see budget.FDIndexEntries).
 func (g *fdGuard) check(t rel.Tuple, lin lineage) error {
 	var self *guardTuple // t's record: made on first use, shared by every index and violation
 	for fi, fd := range g.fds {
@@ -193,8 +189,8 @@ func (g *fdGuard) check(t rel.Tuple, lin lineage) error {
 			}
 			continue
 		}
-		if n := g.entries.Add(1); g.maxEntries > 0 && n > int64(g.maxEntries) {
-			return budget.Exceeded("shred fd enforcement", budget.FDIndexEntries, g.maxEntries)
+		if g.caps.fdEntries++; g.caps.maxFDEntries > 0 && g.caps.fdEntries > g.caps.maxFDEntries {
+			return budget.Exceeded("shred fd enforcement", budget.FDIndexEntries, g.caps.maxFDEntries)
 		}
 		self = hold(self, t, lin)
 		key := string(g.scratch) // both projections, one allocation
@@ -212,8 +208,5 @@ func (g *fdGuard) fdName(fi int) string {
 
 func (g *fdGuard) record(v FDViolation) error {
 	g.violations = append(g.violations, v)
-	if n := g.violTotal.Add(1); g.maxViol > 0 && n > int64(g.maxViol) {
-		return budget.Exceeded("shred fd enforcement", budget.Violations, g.maxViol)
-	}
-	return nil
+	return g.caps.addViolations(1)
 }

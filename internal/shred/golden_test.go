@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xkprop/internal/rel"
+	"xkprop/internal/sqlgen"
 	"xkprop/internal/transform"
 	"xkprop/internal/xmlkey"
 )
@@ -49,44 +50,93 @@ rule missing(x: m1) {
   m1 := mm / @x
 }`
 
-// TestResultGolden pins the whole Result JSON — table tallies and every
-// FD violation with its values, offsets and lineage, in order — at
-// workers 1 and 4. Run with -update to rewrite testdata/result.golden.json.
-func TestResultGolden(t *testing.T) {
-	sigma := xmlkey.MustParseSet(badKeys)
-	tr := transform.MustParseString(goldenTransform)
+// goldenCovers enforces chapter's propagated cover and two hand-written
+// FDs of the cross product, one of which goldenDoc breaks.
+func goldenCovers(t *testing.T, tr *transform.Transformation) map[string][]rel.FD {
+	t.Helper()
 	cross := tr.Rules[1].Schema
-	covers := map[string][]rel.FD{
-		"chapter": coverFor(t, sigma, tr.Rules[0]),
+	return map[string][]rel.FD{
+		"chapter": coverFor(t, xmlkey.MustParseSet(badKeys), tr.Rules[0]),
 		"cross":   {rel.MustParseFD(cross, "isbn -> author"), rel.MustParseFD(cross, "isbn -> title")},
 	}
+}
+
+// TestResultGolden pins the whole Result JSON — table tallies and every
+// FD violation with its values, offsets and lineage, in order. Run with
+// -update to rewrite testdata/result.golden.json.
+func TestResultGolden(t *testing.T) {
+	tr := transform.MustParseString(goldenTransform)
+	res, err := Run(context.Background(), tr, strings.NewReader(goldenDoc), Discard{}, Options{
+		BatchSize: 2, Covers: goldenCovers(t, tr),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
 	path := filepath.Join("testdata", "result.golden.json")
-	for _, workers := range []int{1, 4} {
-		res, err := Run(context.Background(), tr, strings.NewReader(goldenDoc), Discard{}, Options{
-			Workers: workers, BatchSize: 2, Covers: covers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
-		got, err := json.MarshalIndent(res, "", "  ")
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("Result JSON differs from %s:\n%s", path, got)
+	}
+}
+
+// TestSinkGolden pins every directory sink's bytes: goldenDoc shredded at
+// BatchSize 7 (so the cross table's eight rows take two batches) must
+// reproduce testdata/sink/<format>/ file for file. Run with -update to
+// rewrite them.
+func TestSinkGolden(t *testing.T) {
+	tr := transform.MustParseString(goldenTransform)
+	for _, format := range SinkFormats() {
+		dir := t.TempDir()
+		sink, err := SinkFor(format, dir, sqlgen.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, '\n')
-		if *update && workers == 1 {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if _, err := Run(context.Background(), tr, strings.NewReader(goldenDoc), sink, Options{
+			BatchSize: 7, Sigma: xmlkey.MustParseSet(badKeys), Covers: goldenCovers(t, tr),
+		}); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		got := readDir(t, dir)
+		golden := filepath.Join("testdata", "sink", format)
+		if *update {
+			if err := os.RemoveAll(golden); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, got, 0o644); err != nil {
+			if err := os.MkdirAll(golden, 0o755); err != nil {
 				t.Fatal(err)
 			}
+			for name, data := range got {
+				if err := os.WriteFile(filepath.Join(golden, name), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		want := readDir(t, golden)
+		if len(got) != len(want) {
+			t.Errorf("%s: %d files, want %d", format, len(got), len(want))
 		}
-		if string(got) != string(want) {
-			t.Errorf("workers=%d: Result JSON differs from %s:\n%s", workers, path, got)
+		for name, w := range want {
+			if g, ok := got[name]; !ok {
+				t.Errorf("%s: %s missing", format, name)
+			} else if g != w {
+				t.Errorf("%s: %s differs from %s:\n%s", format, name, golden, g)
+			}
 		}
 	}
 }

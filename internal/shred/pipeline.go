@@ -1,24 +1,19 @@
 package shred
 
-// The pipeline: one goroutine owns the xmltok.Source and the streaming
+// The pipeline: one goroutine owns the xmltok tokenizer and the streaming
 // evaluator (and, when a key set is supplied, the stream validator — both
-// consume the same single token pass); closed blocks of bindings fan out
-// to one worker goroutine per rule over bounded channels, gated by a
-// semaphore of Options.Workers execution slots. Each worker enumerates
-// its blocks' products itself, strictly in channel (= document) order,
-// so sink bytes are identical for -workers 1 and -workers N; parallelism
-// comes from different rules progressing concurrently, never from
-// reordering one rule's tuples.
+// consume the same single token pass). A block of bindings is processed
+// where it closes: its rule enumerates the product, deduplicates each
+// row, runs it through the FD guard and batches it to the rule's sink
+// before the next token is read. A run is one loop with one error path,
+// and every rule's sink receives its tuples in document order.
 
 import (
 	"context"
-	"errors"
 	"io"
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"expvar"
 
@@ -37,9 +32,6 @@ const DefaultBatchSize = 256
 
 // Options configures one Run.
 type Options struct {
-	// Workers caps concurrently executing rule workers (<=0 = GOMAXPROCS).
-	// It never affects output bytes, only parallelism across rules.
-	Workers int
 	// BatchSize is the tuples per sink WriteBatch (<=0 = DefaultBatchSize).
 	BatchSize int
 	// Sigma, when non-nil, runs the stream key validator over the same
@@ -49,13 +41,9 @@ type Options struct {
 	// propagated minimum cover). Tables absent from the map are shredded
 	// without enforcement.
 	Covers map[string][]rel.FD
-	// Metrics receives shred.{tuples,batches,fd_checks,violations,
-	// queue_depth}; nil publishes to a private throwaway set.
+	// Metrics receives shred.{tuples,batches,fd_checks,violations}; nil
+	// publishes to a private throwaway set.
 	Metrics *metrics.Set
-	// Decoder selects the tokenizer: xmltok.DecoderFast (default, also
-	// "") or xmltok.DecoderStd for the encoding/xml oracle. Output bytes
-	// are identical either way; std exists for differential checking.
-	Decoder string
 }
 
 // TableCount is one table's output tally.
@@ -99,16 +87,16 @@ func Run(ctx context.Context, tr *transform.Transformation, input io.Reader, sin
 	return c.Run(ctx, input, sink, opts)
 }
 
-// ctxCheckRows is how many enumerated rows a worker goes between checks
-// of the run context, so a cancelled run stops inside a large block.
+// ctxCheckRows is how many enumerated rows a rule goes between checks of
+// the run context, so a cancelled run stops inside a large block: one
+// block can hold tens of thousands of rows between two tokens.
 const ctxCheckRows = 1024
 
-// ruleState is one rule's worker-side state.
+// ruleState is one rule's per-run state.
 type ruleState struct {
 	cr       *crule
 	w        TableWriter
 	guard    *fdGuard
-	ch       chan block
 	prod     product
 	dedup    map[string]bool
 	scratch  []byte      // reusable tuple-key encoding buffer
@@ -118,27 +106,40 @@ type ruleState struct {
 	tuples   int64
 	batches  int64
 	violSeen int64 // guard violations already counted into the metrics
-	err      error
+}
+
+// runCaps holds the run-wide counts that the budget's FD-index and
+// violation caps bound, shared by drive and every rule's FD guard.
+type runCaps struct {
+	fdEntries, maxFDEntries int
+	// violations counts the key and FD violations collected so far.
+	violations, maxViolations int
+}
+
+// addViolations counts n newly collected key or FD violations and aborts
+// the run once the total reaches MaxViolations — the rule
+// stream.Validator.RunCtx applies to key violations alone.
+func (rc *runCaps) addViolations(n int) error {
+	rc.violations += n
+	if rc.maxViolations > 0 && rc.violations >= rc.maxViolations {
+		return budget.Exceeded("shred", budget.Violations, rc.maxViolations)
+	}
+	return nil
 }
 
 // pipelineMetrics bundles the exported counters.
 type pipelineMetrics struct {
 	tuples, batches, fdChecks, violations *expvar.Int
-	queueDepth                            *expvar.Int
 }
 
 // Run shreds one document from input into sink. The context carries
 // cancellation and an optional budget.Budget: MaxTuples and
 // MaxFDIndexEntries abort (never evict — see the budget package),
-// MaxStreamDepth bounds nesting, MaxViolations caps collected stream and
-// FD violations combined with an abort once exceeded.
+// MaxStreamDepth bounds nesting, and MaxViolations aborts the run once
+// the collected key and FD violations together reach it.
 func (c *Compiled) Run(ctx context.Context, input io.Reader, sink Sink, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	batchSize := opts.BatchSize
 	if batchSize <= 0 {
@@ -153,24 +154,14 @@ func (c *Compiled) Run(ctx context.Context, input io.Reader, sink Sink, opts Opt
 		batches:    set.Counter("shred.batches"),
 		fdChecks:   set.Counter("shred.fd_checks"),
 		violations: set.Counter("shred.violations"),
-		queueDepth: set.Gauge("shred.queue_depth"),
 	}
-	var maxTuples, maxFDEntries, maxDepth, maxViol int
+	var maxTuples, maxDepth int
+	caps := &runCaps{}
 	if b := budget.From(ctx); b != nil {
-		maxTuples, maxFDEntries = b.MaxTuples, b.MaxFDIndexEntries
-		maxDepth, maxViol = b.MaxStreamDepth, b.MaxViolations
-	}
-	// One tokenizer pass feeds evaluator and validator; opening it first
-	// also rejects an unknown Options.Decoder before any sink is touched.
-	src, err := xmltok.Open(opts.Decoder, input, c.in)
-	if err != nil {
-		return nil, err
+		maxTuples, maxDepth = b.MaxTuples, b.MaxStreamDepth
+		caps.maxFDEntries, caps.maxViolations = b.MaxFDIndexEntries, b.MaxViolations
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var fdEntries, violTotal atomic.Int64
 	states := make([]*ruleState, len(c.rules))
 	for ri, cr := range c.rules {
 		w, err := sink.Open(cr.rule.Schema)
@@ -180,127 +171,46 @@ func (c *Compiled) Run(ctx context.Context, input io.Reader, sink Sink, opts Opt
 			}
 			return nil, err
 		}
-		st := &ruleState{
-			cr: cr, w: w,
-			ch:    make(chan block, 4),
-			prod:  newProduct(cr),
-			dedup: map[string]bool{},
-		}
+		st := &ruleState{cr: cr, w: w, prod: newProduct(cr), dedup: map[string]bool{}}
 		if fds := opts.Covers[cr.rule.Schema.Name]; len(fds) > 0 {
-			st.guard = newFDGuard(cr.rule.Schema.Name, cr.rule.Schema, fds,
-				&fdEntries, maxFDEntries, &violTotal, maxViol)
+			st.guard = newFDGuard(cr.rule.Schema.Name, cr.rule.Schema, fds, caps)
 		}
 		states[ri] = st
 	}
-	closeWriters := func() error {
-		var first error
-		for _, st := range states {
-			if err := st.w.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, st := range states {
-		wg.Add(1)
-		go func(st *ruleState) {
-			defer wg.Done()
-			// A worker the run context stops before its final flush records
-			// the context's error: its sink holds a partial instance.
-			for blk := range st.ch {
-				pm.queueDepth.Add(-1)
-				if st.err == nil {
-					st.err = runCtx.Err()
-				}
-				if st.err != nil {
-					continue // drain so the producer never blocks
-				}
-				sem <- struct{}{}
-				err := st.process(runCtx, blk, batchSize, pm)
-				<-sem
-				if err != nil {
-					st.err = err
-					cancel()
-				}
-			}
-			if st.err == nil {
-				st.err = runCtx.Err()
-			}
-			if st.err == nil {
-				if err := st.flush(pm); err != nil {
-					st.err = err
-					cancel()
-				}
-			}
-		}(st)
-	}
-
-	emit := func(ri int, blk block) error {
-		pm.queueDepth.Add(1)
-		select {
-		case states[ri].ch <- blk:
-			return nil
-		case <-runCtx.Done():
-			pm.queueDepth.Add(-1)
-			return runCtx.Err()
-		}
-	}
-
+	// One tokenizer pass feeds evaluator and validator. The key paths
+	// compile into the shared interner, so the tokenizer's fused label
+	// codes line up with the validator's NFAs too.
+	src := xmltok.New(input, c.in)
 	var v *stream.Validator
 	if opts.Sigma != nil {
-		// The key paths compile into the shared interner, so the tokenizer's
-		// fused label codes line up with the validator's NFAs too.
 		v = stream.NewValidatorIn(c.in, opts.Sigma)
 	}
-	ev := c.newEvaluator(maxTuples, emit)
-	runErr := c.drive(runCtx, src, ev, v, maxDepth, maxViol)
-	if runErr == nil && !ev.rootClosed {
-		var off int64
-		if so, ok := src.(interface{ InputOffset() int64 }); ok {
-			off = so.InputOffset()
-		}
-		runErr = &stream.DecodeError{Offset: off, Err: io.ErrUnexpectedEOF}
+	ev := c.newEvaluator(maxTuples, func(ri int, blk block) error {
+		return states[ri].process(ctx, blk, batchSize, pm)
+	})
+	err := c.drive(ctx, src, ev, v, maxDepth, caps)
+	if err == nil && !ev.rootClosed {
+		err = &stream.DecodeError{Offset: src.InputOffset(), Err: io.ErrUnexpectedEOF}
 	}
-	if runErr != nil {
-		cancel() // workers skip their final flush
+	if err == nil {
+		// A context that ended after the last block closed still ends the
+		// run: no Result counts rows the sink never got.
+		err = ctx.Err()
 	}
 	for _, st := range states {
-		close(st.ch)
-	}
-	wg.Wait()
-	closeErr := closeWriters()
-
-	// A worker's typed error (budget, sink I/O) beats the bare
-	// context.Canceled its cancellation caused upstream; a parent deadline
-	// or cancellation stays authoritative.
-	var werr error
-	for _, st := range states {
-		if st.err != nil && !errors.Is(st.err, context.Canceled) {
-			werr = st.err
+		if err != nil {
 			break
 		}
+		err = st.writeBatch(pm)
 	}
-	if werr != nil && (runErr == nil || errors.Is(runErr, context.Canceled)) {
-		runErr = werr
-	}
-	// Otherwise a worker stopped by the run context alone ends the run in
-	// that context's error: no Result counts rows the sink never got.
-	if runErr == nil {
-		for _, st := range states {
-			if st.err != nil {
-				runErr = st.err
-				break
-			}
+	for _, st := range states {
+		if cerr := st.w.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if closeErr != nil {
-		return nil, closeErr
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{}
@@ -315,14 +225,25 @@ func (c *Compiled) Run(ctx context.Context, input io.Reader, sink Sink, opts Opt
 	if v != nil {
 		res.StreamViolations = v.Violations()
 	}
+	// An inline run never parks its goroutine, so with one P the GC's
+	// background mark worker runs only when the scheduler does. Channel
+	// hand-offs to per-rule goroutines used to give it that chance; one
+	// yield per run does now. Without it, back-to-back runs at
+	// GOMAXPROCS=1 (the BENCH_shred cells) read past their ceilings, and
+	// with GOGC=off the gap goes away.
+	if runtime.GOMAXPROCS(0) == 1 {
+		runtime.Gosched()
+	}
 	return res, nil
 }
 
 // drive owns the single tokenizer pass: every token is checked against
-// the context, offered to the validator, and fed to the evaluator. Token
-// offsets are the byte of the start tag's '<', so validator violations
-// and evaluator lineage agree with the tree plane byte for byte.
-func (c *Compiled) drive(ctx context.Context, src xmltok.Source, ev *evaluator, v *stream.Validator, maxDepth, maxViol int) error {
+// the context, offered to the validator, and fed to the evaluator, which
+// processes each block as it closes. Token offsets are the byte of the
+// start tag's '<', so validator violations and evaluator lineage agree
+// with the tree plane byte for byte.
+func (c *Compiled) drive(ctx context.Context, src *xmltok.Tokenizer, ev *evaluator, v *stream.Validator, maxDepth int, caps *runCaps) error {
+	keyViol := 0 // validator violations already counted into caps
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -347,8 +268,13 @@ func (c *Compiled) drive(ctx context.Context, src xmltok.Source, ev *evaluator, 
 			if err := ev.startElement(tok); err != nil {
 				return err
 			}
-			if v != nil && maxViol > 0 && len(v.Violations()) >= maxViol {
-				return budget.Exceeded("shred", budget.Violations, maxViol)
+			if v != nil && len(v.Violations()) > keyViol {
+				n := len(v.Violations())
+				err := caps.addViolations(n - keyViol)
+				keyViol = n
+				if err != nil {
+					return err
+				}
 			}
 		case xmltok.EndElement:
 			if v != nil {
@@ -386,7 +312,7 @@ func appendTupleKey(dst []byte, t rel.Tuple) []byte {
 	return dst
 }
 
-// process enumerates one block's product on the rule's worker: online
+// process enumerates one closed block's product for its rule: online
 // dedup (set semantics, first occurrence kept — matching the tree
 // evaluator's Dedup), FD enforcement, then batched sink writes. Rows are
 // built in the product's scratch tuple; only a distinct one is copied.
@@ -467,17 +393,13 @@ func (st *ruleState) writeBatch(pm *pipelineMetrics) error {
 	return nil
 }
 
-func (st *ruleState) flush(pm *pipelineMetrics) error {
-	return st.writeBatch(pm)
-}
-
 // EvalStreaming shreds one document through the streaming pipeline into
 // memory and canonicalizes each table (sorted, already deduplicated
 // online), so the result is directly comparable with Rule.Eval over the
 // parsed tree — the differential tests' contract.
 func EvalStreaming(tr *transform.Transformation, input io.Reader) (map[string]*rel.Relation, error) {
 	ms := NewMemorySink()
-	if _, err := Run(context.Background(), tr, input, ms, Options{Workers: 1}); err != nil {
+	if _, err := Run(context.Background(), tr, input, ms, Options{}); err != nil {
 		return nil, err
 	}
 	out := ms.Relations()

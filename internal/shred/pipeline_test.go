@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"xkprop/internal/core"
 	"xkprop/internal/metrics"
 	"xkprop/internal/rel"
-	"xkprop/internal/sqlgen"
 	"xkprop/internal/testutil"
 	"xkprop/internal/transform"
 	"xkprop/internal/workload"
@@ -51,43 +49,6 @@ func coverFor(t testing.TB, sigma []xmlkey.Key, rule *transform.Rule) []rel.FD {
 		t.Fatalf("minimum cover: %v", err)
 	}
 	return cover
-}
-
-// TestWorkersByteIdentical: -workers 4 must produce byte-identical sink
-// files to -workers 1 on the same document, for every sink format.
-func TestWorkersByteIdentical(t *testing.T) {
-	testutil.GuardGoroutines(t, 5*time.Second)
-	wl := workload.Generate(workload.Config{Fields: 8, Depth: 3, Keys: 6})
-	doc := wl.Document(3).XMLString()
-	tr := transform.MustTransformation(wl.Rule)
-	for _, format := range SinkFormats() {
-		outs := map[int]map[string]string{}
-		for _, workers := range []int{1, 4} {
-			dir := t.TempDir()
-			sink, err := SinkFor(format, dir, sqlgen.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(context.Background(), tr, strings.NewReader(doc), sink, Options{
-				Workers: workers, BatchSize: 7, Sigma: wl.Sigma,
-			})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", format, workers, err)
-			}
-			if !res.OK() {
-				t.Fatalf("%s workers=%d: unexpected violations: %+v", format, workers, res)
-			}
-			outs[workers] = readDir(t, dir)
-		}
-		if len(outs[1]) == 0 {
-			t.Fatalf("%s: no output files", format)
-		}
-		for name, want := range outs[1] {
-			if got := outs[4][name]; got != want {
-				t.Errorf("%s: %s differs between workers=1 and workers=4:\n%q\nvs\n%q", format, name, want, got)
-			}
-		}
-	}
 }
 
 func readDir(t *testing.T, dir string) map[string]string {
@@ -261,28 +222,58 @@ func TestBudgetAborts(t *testing.T) {
 	}
 }
 
-// TestMaxViolationsAborts: exceeding MaxViolations on FD violations
-// aborts the run rather than growing the list.
+// booksDoc renders one isbn-1 book per name, each holding chapter 1 with
+// that name: every book after the first breaks the book key, and every
+// name other than the first breaks the propagated inBook, number → name.
+func booksDoc(names ...string) string {
+	var b strings.Builder
+	b.WriteString("<db>")
+	for _, n := range names {
+		fmt.Fprintf(&b, `<book isbn="1"><chapter number="1"><name>%s</name></chapter></book>`, n)
+	}
+	b.WriteString("</db>")
+	return b.String()
+}
+
+// TestMaxViolationsAborts: MaxViolations caps the key and FD violations
+// of a run together, and the run aborts once their total reaches the cap
+// — the rule stream.Validator.RunCtx applies to key violations alone.
 func TestMaxViolationsAborts(t *testing.T) {
 	sigma := xmlkey.MustParseSet(badKeys)
 	tr := transform.MustParseString(badTransform)
-	cover := coverFor(t, sigma, tr.Rules[0])
-	// Many conflicting chapters produce several violations.
-	var b strings.Builder
-	b.WriteString("<db>")
-	for i := 0; i < 6; i++ {
-		b.WriteString(`<book isbn="1"><chapter number="1"><name>N`)
-		b.WriteString(string(rune('0' + i)))
-		b.WriteString("</name></chapter></book>")
+	covers := map[string][]rel.FD{"chapter": coverFor(t, sigma, tr.Rules[0])}
+	cases := []struct {
+		name      string
+		sigma     []xmlkey.Key
+		doc       string
+		max       int
+		abort     bool
+		keys, fds int // the Result's violations when the run does not abort
+	}{
+		{"key-only below the cap", sigma, booksDoc("A", "A", "A"), 3, false, 2, 0},
+		{"key-only at the cap", sigma, booksDoc("A", "A", "A", "A"), 3, true, 0, 0},
+		{"fd-only at the cap", nil, booksDoc("A", "B", "C", "D"), 3, true, 0, 0},
+		{"key and fd past the cap", sigma, booksDoc("A", "B", "C"), 3, true, 0, 0},
+		{"fd-only past the cap", nil, booksDoc("N0", "N1", "N2", "N3", "N4", "N5"), 2, true, 0, 0},
 	}
-	b.WriteString("</db>")
-	ctx := budget.With(context.Background(), budget.Budget{MaxViolations: 2})
-	res, err := Run(ctx, tr, strings.NewReader(b.String()), Discard{}, Options{
-		Covers: map[string][]rel.FD{"chapter": cover},
-	})
-	var be *budget.Error
-	if res != nil || !errors.As(err, &be) || be.Resource != budget.Violations {
-		t.Errorf("got (%v, %v), want violations budget abort", res, err)
+	for _, c := range cases {
+		ctx := budget.With(context.Background(), budget.Budget{MaxViolations: c.max})
+		res, err := Run(ctx, tr, strings.NewReader(c.doc), Discard{}, Options{Sigma: c.sigma, Covers: covers})
+		if c.abort {
+			var be *budget.Error
+			if res != nil || !errors.As(err, &be) || be.Resource != budget.Violations {
+				t.Errorf("%s: got (%+v, %v), want a violations budget abort", c.name, res, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if len(res.StreamViolations) != c.keys || len(res.Violations) != c.fds {
+			t.Errorf("%s: %d key and %d FD violations, want %d and %d",
+				c.name, len(res.StreamViolations), len(res.Violations), c.keys, c.fds)
+		}
 	}
 }
 
@@ -299,8 +290,7 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestMetricsExported: the pipeline moves all five shred.* metrics and
-// queue_depth returns to zero.
+// TestMetricsExported: the pipeline moves all four shred.* counters.
 func TestMetricsExported(t *testing.T) {
 	set := metrics.NewSet()
 	sigma := xmlkey.MustParseSet(badKeys)
@@ -324,9 +314,6 @@ func TestMetricsExported(t *testing.T) {
 	if n := set.Counter("shred.violations").Value(); n < 1 {
 		t.Errorf("shred.violations = %d, want >= 1", n)
 	}
-	if n := set.Gauge("shred.queue_depth").Value(); n != 0 {
-		t.Errorf("shred.queue_depth = %d, want 0 after the run", n)
-	}
 }
 
 // TestMalformedInput: truncated and multi-root documents are typed decode
@@ -345,23 +332,23 @@ func TestMalformedInput(t *testing.T) {
 // counts the batches it receives.
 type cancelSink struct {
 	cancel  context.CancelFunc
-	batches atomic.Int64
+	batches int
 }
 
 func (s *cancelSink) Open(*rel.Schema) (TableWriter, error) { return s, nil }
 func (s *cancelSink) Close() error                          { return nil }
 
 func (s *cancelSink) WriteBatch([]rel.Tuple) error {
-	if s.batches.Add(1) == 1 {
+	if s.batches++; s.batches == 1 {
 		s.cancel()
 	}
 	return nil
 }
 
-// TestCancelDuringWritesReturnsNoResult: a cancellation that lands after
-// the decoder has handed off its last block must still end the run in
-// the context's error with no Result — the sink never got every row. The
-// 46,656-row block also shows the worker stops within ctxCheckRows rows.
+// TestCancelDuringWritesReturnsNoResult: a cancellation that lands while
+// the last block is being written must still end the run in the
+// context's error with no Result — the sink never got every row. The
+// 46,656-row block also shows the rule stops within ctxCheckRows rows.
 func TestCancelDuringWritesReturnsNoResult(t *testing.T) {
 	testutil.GuardGoroutines(t, 5*time.Second)
 	wl := workload.Generate(workload.Config{Fields: 8, Depth: 3, Keys: 6, Width: 2})
@@ -374,12 +361,12 @@ func TestCancelDuringWritesReturnsNoResult(t *testing.T) {
 		doc := wl.Document(c.fanout).XMLString()
 		ctx, cancel := context.WithCancel(context.Background())
 		sink := &cancelSink{cancel: cancel}
-		res, err := Run(ctx, tr, strings.NewReader(doc), sink, Options{Workers: 1, BatchSize: batch})
+		res, err := Run(ctx, tr, strings.NewReader(doc), sink, Options{BatchSize: batch})
 		cancel()
 		if res != nil || !errors.Is(err, context.Canceled) {
 			t.Errorf("%d rows: got (%+v, %v), want (nil, context.Canceled)", c.rows, res, err)
 		}
-		if after := sink.batches.Load() - 1; after > ctxCheckRows/batch {
+		if after := sink.batches - 1; after > ctxCheckRows/batch {
 			t.Errorf("%d rows: %d batches after the cancel, want at most %d", c.rows, after, ctxCheckRows/batch)
 		}
 	}

@@ -1,9 +1,8 @@
 package shred
 
-// Pluggable sinks. Each rule's worker owns its TableWriter exclusively,
-// so writers need no internal locking; a Sink's Open may be called
-// concurrently only if the Sink itself says so (the directory sinks here
-// are Opened sequentially before the workers start).
+// Pluggable sinks. A run opens one TableWriter per rule, in rule order,
+// and writes to them all from the goroutine that calls Run, so writers
+// need no internal locking.
 
 import (
 	"bufio"

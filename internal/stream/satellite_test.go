@@ -92,30 +92,3 @@ func TestStreamTupleNoFalseCollisions(t *testing.T) {
 		t.Fatalf("equal tuples not flagged: err=%v vs=%v", err, vs)
 	}
 }
-
-// TestStreamDecoderSelection runs the same violating document through
-// both decoders and demands identical violation lists, offsets included.
-func TestStreamDecoderSelection(t *testing.T) {
-	sigma := xmlkey.MustParseSet("(ε, (//book, {@isbn}))")
-	src := "<r>\r\n<!-- c --><book isbn=\"1\"/><book isbn=\"1\"/><book/></r>"
-	var got [2][]Violation
-	for i, dec := range []string{xmltok.DecoderFast, xmltok.DecoderStd} {
-		v := NewValidator(sigma)
-		if err := v.SetDecoder(dec); err != nil {
-			t.Fatal(err)
-		}
-		if err := v.Run(strings.NewReader(src)); err != nil {
-			t.Fatalf("%s: %v", dec, err)
-		}
-		got[i] = v.Violations()
-	}
-	if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
-		t.Fatalf("decoders disagree:\nfast: %v\nstd:  %v", got[0], got[1])
-	}
-	if len(got[0]) != 2 {
-		t.Fatalf("want 2 violations, got %v", got[0])
-	}
-	if err := NewValidator(sigma).SetDecoder("bogus"); err == nil {
-		t.Fatal("SetDecoder must reject unknown names")
-	}
-}

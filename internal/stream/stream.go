@@ -13,8 +13,7 @@
 // start-element costs O(|Σ| · depth · |paths|) word operations in the
 // worst case and far less in practice.
 //
-// Tokens come from the xmltok plane: the zero-copy scanner by default,
-// or the encoding/xml oracle via SetDecoder. Labels arrive pre-resolved
+// Tokens come from xmltok's zero-copy scanner. Labels arrive pre-resolved
 // to interner codes (Token.Code), the per-element frames and context
 // instances are pooled, and paths are rendered only when a violation is
 // actually recorded, so steady-state validation of a conforming document
@@ -91,8 +90,6 @@ type Validator struct {
 	// so tokens fed to the validator must come from a Source built over
 	// this interner (Run guarantees that; Feed callers must).
 	in *xpath.Interner
-	// decoder selects the tokenizer Run opens ("" = xmltok.DecoderFast).
-	decoder string
 	// stack of open elements. Frames are reused across pushes: popping
 	// only reslices, and pushing reclaims the popped frame's slices.
 	stack []frame
@@ -192,18 +189,6 @@ func (v *Validator) SetLimit(n int) { v.limit = n }
 // per-element NFA frames into an early, typed refusal.
 func (v *Validator) SetMaxDepth(n int) { v.maxDepth = n }
 
-// SetDecoder selects the tokenizer Run uses: xmltok.DecoderFast (the
-// default, also chosen by "") or xmltok.DecoderStd for the encoding/xml
-// oracle. Unknown names are rejected here, not at Run time.
-func (v *Validator) SetDecoder(name string) error {
-	switch name {
-	case "", xmltok.DecoderFast, xmltok.DecoderStd:
-		v.decoder = name
-		return nil
-	}
-	return fmt.Errorf("stream: unknown decoder %q (want %s or %s)", name, xmltok.DecoderFast, xmltok.DecoderStd)
-}
-
 // saturated reports whether the violation limit has been reached.
 func (v *Validator) saturated() bool {
 	return v.limit > 0 && len(v.violations) >= v.limit
@@ -239,10 +224,7 @@ func (v *Validator) RunCtx(ctx context.Context, r io.Reader) error {
 		}
 		maxViol = b.MaxViolations
 	}
-	src, err := xmltok.Open(v.decoder, r, v.in)
-	if err != nil {
-		return err
-	}
+	src := xmltok.New(r, v.in)
 	for {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {

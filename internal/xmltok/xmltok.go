@@ -165,7 +165,8 @@ func (e *UnsupportedError) Error() string {
 	return "xmltok: unsupported construct: " + e.Construct
 }
 
-// Decoder names for Open and the -decoder flags.
+// Decoder names for Open. Product code calls New; the names select the
+// encoding/xml oracle in parity tests and benchmarks.
 const (
 	DecoderFast = "fast"
 	DecoderStd  = "std"
