@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -120,7 +121,11 @@ func main() {
 	// 4. Spot-check a propagation question with an explanation.
 	eng := xkprop.NewEngine(keys, u)
 	fd, _ := xkprop.ParseFD(u.Schema, "orderId, itemSku -> itemQty")
-	for _, ex := range eng.Explain(fd) {
+	exs, err := eng.Explain(context.Background(), fd)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, ex := range exs {
 		fmt.Println()
 		fmt.Print(ex.String())
 	}

@@ -1,6 +1,7 @@
 package xkprop_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -71,8 +72,8 @@ func TestIntegrationXSDToSQL(t *testing.T) {
 	if !eng.Propagates(fd) {
 		t.Fatal("imported keys must prove the refined design's key")
 	}
-	exs := eng.Explain(fd)
-	if len(exs) != 1 || !exs[0].Propagated {
+	exs, err := eng.Explain(context.Background(), fd)
+	if err != nil || len(exs) != 1 || !exs[0].Propagated {
 		t.Fatal("explanation must agree")
 	}
 	if !strings.Contains(exs[0].String(), "is keyed") {

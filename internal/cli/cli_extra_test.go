@@ -202,6 +202,29 @@ func TestXkpropExplain(t *testing.T) {
 	}
 }
 
+// TestXkpropExplainTimeout: -explain honours -timeout. An expired deadline
+// stops the walk with exit 2, and no verdict or narrative is printed.
+func TestXkpropExplainTimeout(t *testing.T) {
+	keys, rules, _, _ := fixtures(t)
+	code, out, errb := runTool(t, propF, "-explain", "-timeout", "1ns",
+		"-keys", keys, "-transform", rules, "-relation", "section",
+		"-fd", "inChapt, number -> name")
+	if code != 2 || out != "" || !strings.Contains(errb, "xkprop: aborted: context deadline exceeded") {
+		t.Fatalf("code=%d stdout=%q stderr=%q, want exit 2, no output and an abort report", code, out, errb)
+	}
+}
+
+// TestXkcoverWhyTimeout: -why honours -timeout. Under an expired deadline
+// the run stops with exit 2 and prints no provenance. (The cover's own
+// search aborts first here; TestAnnotatedCoverCountdownAbort in
+// internal/core aborts AnnotatedCover itself.)
+func TestXkcoverWhyTimeout(t *testing.T) {
+	code, out, errb := runTool(t, coverF, "-demo", "-why", "-timeout", "1ns")
+	if code != 2 || strings.Contains(out, "provenance:") || !strings.Contains(errb, "xkcover: aborted:") {
+		t.Fatalf("code=%d stdout=%q stderr=%q, want exit 2, no provenance and an abort report", code, out, errb)
+	}
+}
+
 func TestXkcoverDerive(t *testing.T) {
 	code, out, _ := runTool(t, coverF, "-demo", "-derive", "bookIsbn, chapNum, secNum -> bookTitle")
 	if code != 0 {

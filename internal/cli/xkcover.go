@@ -77,8 +77,12 @@ func RunXkcover(args []string, stdout, stderr io.Writer) int {
 	io.WriteString(stdout, indent(xkprop.FormatFDs(rule.Schema, cover)))
 
 	if *why {
+		anns, err := eng.AnnotatedCover(ctx)
+		if err != nil {
+			return failOrAbort(stderr, "xkcover", err)
+		}
 		fmt.Fprintln(stdout, "provenance:")
-		for _, a := range eng.AnnotatedCover() {
+		for _, a := range anns {
 			io.WriteString(stdout, indent(a.Format(rule.Schema)))
 		}
 	}

@@ -43,7 +43,7 @@ func RunXkload(args []string, stdout, stderr io.Writer) int {
 	maxTuples := fs.Int("max-tuples", 0,
 		"budget: abort after this many raw tuples, counted before dedup (0 = no cap; aborts, never evicts)")
 	maxFD := fs.Int("max-fd-entries", 0,
-		"budget: abort when the FD hash indexes hold this many entries (0 = no cap; aborts, never evicts)")
+		"budget: abort past this many entries in the FD hash indexes (0 = no cap; aborts, never evicts)")
 	maxDepth := fs.Int("max-depth", 10_000, "budget: max element nesting (0 = no cap)")
 	maxViol := fs.Int("max-violations", 10_000,
 		"budget: abort once key and FD violations together reach this many (0 = no cap)")

@@ -55,10 +55,15 @@ func RunXkprop(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, "xkprop", err)
 	}
+	ctx, cancel := deadline.Context()
+	defer cancel()
 	if *explain {
-		eng := xkprop.NewEngine(sigma, rule).SetWorkers(*parallel)
+		exs, err := xkprop.NewEngine(sigma, rule).SetWorkers(*parallel).Explain(ctx, fd)
+		if err != nil {
+			return failOrAbort(stderr, "xkprop", err)
+		}
 		code := 0
-		for _, ex := range eng.Explain(fd) {
+		for _, ex := range exs {
 			io.WriteString(stdout, ex.String())
 			if !ex.Propagated {
 				code = 1
@@ -66,8 +71,6 @@ func RunXkprop(args []string, stdout, stderr io.Writer) int {
 		}
 		return code
 	}
-	ctx, cancel := deadline.Context()
-	defer cancel()
 	code := xkpropReportCtx(ctx, stdout, stderr, sigma, rule, fd, *check, *parallel)
 	if code == 1 && *witnessFlag {
 		doc, vs, ok := xkprop.FindFDCounterexample(sigma, rule, fd, xkprop.WitnessOptions{})

@@ -195,6 +195,23 @@ func TestGPropagatesAgreesOnPaperFDs(t *testing.T) {
 	}
 }
 
+// TestGPropagatesIssuesNoQuery: once the cover is cached, GPropagates
+// decides by relational implication and the existence closure alone, so
+// the decider's memo does not grow however many FDs it is asked.
+func TestGPropagatesIssuesNoQuery(t *testing.T) {
+	e := NewEngine(paperdata.Keys(), paperdata.UniversalRule())
+	if _, err := e.CachedCoverCtx(nil); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Decider().MemoSize()
+	for _, fd := range smallFDs(e.Rule().Schema, 2) {
+		e.GPropagates(fd)
+	}
+	if after := e.Decider().MemoSize(); after != before {
+		t.Fatalf("memo grew from %d to %d entries across GPropagates calls", before, after)
+	}
+}
+
 // TestUniversalCoverFDsHoldOnFig1: every FD of the computed cover holds on
 // the instance generated from the Fig 1 document (sanity check of the
 // whole pipeline: keys → cover → instance).

@@ -182,7 +182,7 @@ rule t(a: x, b: y) {
 	if e.Propagates(rel.MustParseFD(rule.Schema, "b -> a")) {
 		t.Error("b → a must not propagate")
 	}
-	for _, ann := range e.AnnotatedCover() {
+	for _, ann := range annotated(t, e) {
 		if ann.FD.Rhs.Card() != 0 {
 			// Covers here may only relate each branch to its own key.
 			lhsVar, _ := rule.VarOf(rule.Schema.Attrs[firstAttr(ann.FD.Lhs)])

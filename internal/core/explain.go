@@ -1,21 +1,23 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"xkprop/internal/rel"
-	"xkprop/internal/transform"
 	"xkprop/internal/xmlkey"
+	"xkprop/internal/xpath"
 )
 
-// This file adds an explaining variant of Algorithm propagation: the same
-// decision procedure, but recording the keyed-ancestor walk the way the
+// This file holds the record of one run of Algorithm propagation. The
+// walk in propagation.go fills an Explanation step by step, the way the
 // paper narrates Example 4.2 ("the algorithm first checks if x_r is keyed
 // by inspecting Σ ⊨ (ε, (ε, {})) ... it then checks whether x_a is keyed
-// ..."). Explanations make negative verdicts actionable: they show which
-// ancestor failed to be keyed or which LHS field cannot be guaranteed
-// non-null.
+// ..."), so the narrative is the run that decided the verdict, not a
+// second run beside it. Explanations make negative verdicts actionable:
+// they show which ancestor failed to be keyed or which LHS field cannot
+// be guaranteed non-null.
 
 // StepKind classifies one step of an explanation.
 type StepKind uint8
@@ -100,97 +102,42 @@ func (e *Explanation) String() string {
 	return b.String()
 }
 
-// Explain runs Algorithm propagation for a single-attribute FD and records
-// every decision. For compound right-hand sides call it per attribute.
-// The verdict always agrees with Propagates.
-func (e *Engine) Explain(fd rel.FD) []*Explanation {
+// Explain runs Algorithm propagation on fd and returns its recorded walk,
+// one explanation per right-hand-side attribute. Each verdict agrees with
+// Propagates. Under a context that is cancelled, or whose budget runs out,
+// it returns (nil, err): a partial narrative is never returned. A nil ctx
+// runs unbudgeted.
+func (e *Engine) Explain(ctx context.Context, fd rel.FD) ([]*Explanation, error) {
+	schema := e.rule.Schema
 	var out []*Explanation
-	fd.Rhs.ForEach(func(a int) {
-		out = append(out, e.explainOne(fd.Lhs, a))
-	})
-	return out
+	for _, a := range fd.Rhs.Positions() {
+		ex := &Explanation{
+			FD:       rel.NewFD(fd.Lhs, rel.AttrSet{}.With(a)).Format(schema),
+			Relation: schema.Name,
+		}
+		keyFound, nullSafe, err := e.walk(ctx, fd.Lhs, a, true, ex)
+		if err != nil {
+			return nil, err
+		}
+		ex.KeyFound, ex.NullSafe, ex.Propagated = keyFound, nullSafe, keyFound && nullSafe
+		out = append(out, ex)
+	}
+	return out, nil
 }
 
-func (e *Engine) explainOne(lhs rel.AttrSet, rhsAttr int) *Explanation {
-	rule := e.rule
-	schema := rule.Schema
-	field := schema.Attrs[rhsAttr]
-	ex := &Explanation{
-		FD:       rel.NewFD(lhs, rel.AttrSet{}.With(rhsAttr)).Format(schema),
-		Relation: schema.Name,
+// add records a step; on a nil Explanation (an unrecorded walk) it does
+// nothing.
+func (ex *Explanation) add(s Step) {
+	if ex != nil {
+		ex.Steps = append(ex.Steps, s)
 	}
-	x, ok := rule.VarOf(field)
-	if !ok {
-		return ex
-	}
-
-	lhsFields := make(map[string]bool, lhs.Card())
-	ycheck := make(map[string]bool, lhs.Card())
-	lhs.ForEach(func(i int) {
-		lhsFields[schema.Attrs[i]] = true
-		ycheck[schema.Attrs[i]] = true
-	})
-
-	keyFound := lhsFields[field]
-	if keyFound {
-		ex.Steps = append(ex.Steps, Step{Kind: StepTrivial})
-	}
-
-	context := transform.RootVar
-	for _, target := range rule.Ancestors(x) {
-		attrs, covered := rule.AttrsOfVarForFields(target, lhsFields)
-		if !keyFound {
-			ctxPath := e.pathFromRoot(context)
-			// Mirror propagatesOne: a failed path lookup (zero-value path,
-			// would read as ε) must fail the step, not prove it.
-			relPath, okPath := rule.PathBetween(context, target)
-			q := xmlkey.New("", ctxPath, relPath, attrs...)
-			if okPath && e.dec.Implies(q) {
-				ex.Steps = append(ex.Steps, Step{Kind: StepKeyed, Target: target, Query: q.String()})
-				context = target
-				uniq, okUniq := rule.PathBetween(context, x)
-				uq := xmlkey.New("", e.pathFromRoot(context), uniq)
-				if okUniq && e.dec.Implies(uq) {
-					ex.Steps = append(ex.Steps, Step{Kind: StepUnique, Target: target, Query: uq.String()})
-					keyFound = true
-				} else {
-					ex.Steps = append(ex.Steps, Step{Kind: StepNotUnique, Target: target, Query: uq.String()})
-				}
-			} else {
-				ex.Steps = append(ex.Steps, Step{Kind: StepNotKeyed, Target: target, Query: q.String()})
-			}
-		}
-		if len(attrs) > 0 && e.dec.ExistsAllID(e.rootID(target), attrs) {
-			discharged := make([]string, 0, len(covered))
-			for _, f := range covered {
-				if ycheck[f] {
-					delete(ycheck, f)
-					discharged = append(discharged, f)
-				}
-			}
-			if len(discharged) > 0 {
-				ex.Steps = append(ex.Steps, Step{Kind: StepExists, Target: target, Fields: discharged})
-			}
-		}
-	}
-	if len(ycheck) > 0 {
-		missing := make([]string, 0, len(ycheck))
-		for f := range ycheck {
-			missing = append(missing, f)
-		}
-		sortStrings(missing)
-		ex.Steps = append(ex.Steps, Step{Kind: StepMissingExistence, Fields: missing})
-	}
-	ex.KeyFound = keyFound
-	ex.NullSafe = len(ycheck) == 0
-	ex.Propagated = keyFound && ex.NullSafe
-	return ex
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// query renders the implication query (c, (t, attrs)) for a step, and
+// renders nothing for an unrecorded walk.
+func (ex *Explanation) query(c, t xpath.Path, attrs []string) string {
+	if ex == nil {
+		return ""
 	}
+	return xmlkey.New("", c, t, attrs...).String()
 }

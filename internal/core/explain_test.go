@@ -9,13 +9,23 @@ import (
 	"xkprop/internal/rel"
 )
 
+// explain runs Explain unbudgeted, which cannot abort.
+func explain(t *testing.T, e *Engine, fd rel.FD) []*Explanation {
+	t.Helper()
+	exs, err := e.Explain(nil, fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exs
+}
+
 // TestExplainPaperExample42Positive reproduces the narrative of Example
 // 4.2's positive run: x_r keyed by the ε-rule, x_a keyed by @isbn, x₅
 // unique under x_a via φ7.
 func TestExplainPaperExample42Positive(t *testing.T) {
 	e := NewEngine(paperdata.Keys(), paperdata.Transform().Rule("book"))
 	fd := rel.MustParseFD(e.Rule().Schema, "isbn -> contact")
-	exs := e.Explain(fd)
+	exs := explain(t, e, fd)
 	if len(exs) != 1 {
 		t.Fatalf("explanations = %d", len(exs))
 	}
@@ -42,7 +52,7 @@ func TestExplainPaperExample42Positive(t *testing.T) {
 func TestExplainPaperExample42Negative(t *testing.T) {
 	e := NewEngine(paperdata.Keys(), paperdata.Transform().Rule("section"))
 	fd := rel.MustParseFD(e.Rule().Schema, "inChapt, number -> name")
-	ex := e.Explain(fd)[0]
+	ex := explain(t, e, fd)[0]
 	if ex.Propagated {
 		t.Fatal("verdict must be negative")
 	}
@@ -63,7 +73,7 @@ func TestExplainPaperExample42Negative(t *testing.T) {
 func TestExplainNullSafetyFailure(t *testing.T) {
 	e := NewEngine(paperdata.Keys(), paperdata.Transform().Rule("book"))
 	fd := rel.MustParseFD(e.Rule().Schema, "isbn, title -> contact")
-	ex := e.Explain(fd)[0]
+	ex := explain(t, e, fd)[0]
 	if ex.Propagated || ex.NullSafe {
 		t.Fatal("verdict must fail on null safety")
 	}
@@ -76,7 +86,7 @@ func TestExplainNullSafetyFailure(t *testing.T) {
 func TestExplainTrivial(t *testing.T) {
 	e := NewEngine(paperdata.Keys(), paperdata.Transform().Rule("book"))
 	fd := rel.MustParseFD(e.Rule().Schema, "isbn -> isbn")
-	ex := e.Explain(fd)[0]
+	ex := explain(t, e, fd)[0]
 	if !ex.Propagated {
 		t.Fatal("isbn → isbn must be propagated")
 	}
@@ -89,7 +99,7 @@ func TestExplainTrivial(t *testing.T) {
 func TestExplainCompoundRHS(t *testing.T) {
 	e := NewEngine(paperdata.Keys(), paperdata.Transform().Rule("chapter"))
 	fd := rel.MustParseFD(e.Rule().Schema, "inBook, number -> name, inBook")
-	exs := e.Explain(fd)
+	exs := explain(t, e, fd)
 	if len(exs) != 2 {
 		t.Fatalf("explanations = %d, want 2", len(exs))
 	}
@@ -112,7 +122,7 @@ func TestExplainAgreesWithPropagates(t *testing.T) {
 			}
 			fd := rel.NewFD(lhs, rel.AttrSet{}.With(r.Intn(n)))
 			want := e.Propagates(fd)
-			ex := e.Explain(fd)[0]
+			ex := explain(t, e, fd)[0]
 			if ex.Propagated != want {
 				t.Fatalf("Explain=%v Propagates=%v for %s\nrule:\n%s\nkeys: %v\n%s",
 					ex.Propagated, want, fd.Format(w.rule.Schema), w.rule, w.sigma, ex)

@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -63,6 +64,94 @@ func TestMinimumCoverCtxCountdownAbort(t *testing.T) {
 		if !coversEqual(after, want) {
 			t.Fatalf("k=%d: post-abort cover differs from a fresh engine's", k)
 		}
+	}
+}
+
+// TestExplainCountdownAbort cancels Explain at the k-th cancellation check
+// for every k until a run completes, on an FD with two right-hand-side
+// fields. Each abort must yield (nil, context.Canceled), a completed run
+// must give a live run's narratives, and a live call on the aborted
+// engine afterwards must give them too.
+func TestExplainCountdownAbort(t *testing.T) {
+	w := faultWorkload()
+	fd := rel.NewFD(w.ProbeTrue.Lhs, w.ProbeTrue.Rhs.Union(w.ProbeFalse.Rhs))
+	render := func(exs []*Explanation) string {
+		var b strings.Builder
+		for _, ex := range exs {
+			b.WriteString(ex.String())
+		}
+		return b.String()
+	}
+	live, err := NewEngine(w.Sigma, w.Rule).Explain(nil, fd)
+	if err != nil || len(live) != 2 {
+		t.Fatalf("live Explain = %d explanations, err %v", len(live), err)
+	}
+	want := render(live)
+	aborts := 0
+	for k := int64(1); ; k++ {
+		e := NewEngine(w.Sigma, w.Rule)
+		exs, err := e.Explain(faultinject.CountdownContext(context.Background(), k), fd)
+		if err == nil {
+			if got := render(exs); got != want {
+				t.Fatalf("k=%d: uncancelled narrative differs:\n%s\nwant:\n%s", k, got, want)
+			}
+			break
+		}
+		aborts++
+		if !errors.Is(err, context.Canceled) || exs != nil {
+			t.Fatalf("k=%d: Explain = (%d explanations, %v), want (nil, context.Canceled)", k, len(exs), err)
+		}
+		after, err := e.Explain(context.Background(), fd)
+		if err != nil || render(after) != want {
+			t.Fatalf("k=%d: post-abort narrative differs (err %v)", k, err)
+		}
+	}
+	if aborts < 2 {
+		t.Fatalf("only %d aborted runs: the countdown never landed inside a walk", aborts)
+	}
+}
+
+// TestAnnotatedCoverCountdownAbort cancels AnnotatedCover at the k-th
+// cancellation check for a sweep of k, on a parallel engine. Each abort
+// must yield (nil, context.Canceled), a completed run must equal a live
+// run, and a live call on the aborted engine afterwards must too: an
+// aborted record leaves nothing behind.
+func TestAnnotatedCoverCountdownAbort(t *testing.T) {
+	w := faultWorkload()
+	render := func(anns []AnnotatedFD) string {
+		var b strings.Builder
+		for _, a := range anns {
+			b.WriteString(a.Format(w.Rule.Schema))
+		}
+		return b.String()
+	}
+	live, err := NewEngine(w.Sigma, w.Rule).AnnotatedCover(nil)
+	if err != nil || len(live) == 0 {
+		t.Fatalf("live AnnotatedCover = %d FDs, err %v", len(live), err)
+	}
+	want := render(live)
+	aborts, completed := 0, 0
+	for _, k := range []int64{1, 2, 3, 5, 8, 13, 50, 100, 150, 190, 400, 5000} {
+		e := NewEngine(w.Sigma, w.Rule).SetWorkers(4)
+		anns, err := e.AnnotatedCover(faultinject.CountdownContext(context.Background(), k))
+		if err == nil {
+			completed++
+			if got := render(anns); got != want {
+				t.Fatalf("k=%d: uncancelled annotated cover differs:\n%s", k, firstDiff(got, want))
+			}
+		} else {
+			aborts++
+			if !errors.Is(err, context.Canceled) || anns != nil {
+				t.Fatalf("k=%d: AnnotatedCover = (%d FDs, %v), want (nil, context.Canceled)", k, len(anns), err)
+			}
+		}
+		after, err := e.AnnotatedCover(context.Background())
+		if err != nil || render(after) != want {
+			t.Fatalf("k=%d: post-abort annotated cover differs (err %v)", k, err)
+		}
+	}
+	if aborts == 0 || completed == 0 {
+		t.Fatalf("%d aborted and %d completed runs: the sweep must see both", aborts, completed)
 	}
 }
 

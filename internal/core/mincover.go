@@ -44,7 +44,7 @@ import (
 // the sequential run because candidates are merged in the sequential
 // loop's order regardless of which worker decided them.
 func (e *Engine) MinimumCover() []rel.FD {
-	cands, _ := e.coverCandidates(nil)
+	cands, _ := e.coverCandidates(nil, nil)
 	return rel.Minimize(cands)
 }
 
@@ -53,7 +53,7 @@ func (e *Engine) MinimumCover() []rel.FD {
 // returning (nil, err). A partially searched cover is never returned as if
 // complete — the only non-nil cover is a fully decided one.
 func (e *Engine) MinimumCoverCtx(ctx context.Context) ([]rel.FD, error) {
-	cands, err := e.coverCandidates(ctx)
+	cands, err := e.coverCandidates(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -81,8 +81,9 @@ type emitStep struct {
 
 // coverCandidates generates the pre-minimization FD set F. A nil ctx is
 // the legacy unbudgeted path. Every query goes to the decider by interned
-// ID through the engine's path table.
-func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
+// ID through the engine's path table. A non-nil rec records each
+// variable's key chains and the emission steps (AnnotatedCover).
+func (e *Engine) coverCandidates(ctx context.Context, rec *provenance) ([]rel.FD, error) {
 	rule := e.rule
 	pt := &e.paths
 	lists := e.dec.KeyAttrLists()
@@ -166,6 +167,11 @@ func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 			keysOf[v] = vKeys.keys
 			order = append(order, v)
 		}
+		if rec != nil {
+			if err := rec.record(ctx, v, steps); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	// Emit K → A for each keyed node v, each transitive key K of v, and
@@ -200,6 +206,9 @@ func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 	if err != nil {
 		return nil, err
 	}
+	if rec != nil {
+		rec.emits = emits
+	}
 	var out []rel.FD
 	for _, st := range emits {
 		if !st.ok {
@@ -217,8 +226,8 @@ func (e *Engine) coverCandidates(ctx context.Context) ([]rel.FD, error) {
 }
 
 // keySet collects a variable's transitive keys, each once, in the order
-// they were first added. reset starts the next variable's set and keeps
-// the membership map's storage.
+// they were first added; add reports whether k was new. reset starts the
+// next variable's set and keeps the membership map's storage.
 type keySet struct {
 	keys []rel.AttrSet
 	seen map[string]struct{}
@@ -233,13 +242,14 @@ func (s *keySet) reset() {
 	clear(s.seen)
 }
 
-func (s *keySet) add(k rel.AttrSet) {
+func (s *keySet) add(k rel.AttrSet) bool {
 	s.buf = k.AppendKey(s.buf[:0])
 	if _, dup := s.seen[string(s.buf)]; dup {
-		return
+		return false
 	}
 	s.seen[string(s.buf)] = struct{}{}
 	s.keys = append(s.keys, k)
+	return true
 }
 
 // fieldsOf maps key attributes to the U fields populated by v's attribute
@@ -342,45 +352,9 @@ func (e *Engine) gPropagates(ctx context.Context, fd rel.FD) (bool, error) {
 	if !ix.Implies(fd) {
 		return false, nil
 	}
-	ok := true
-	fd.Rhs.ForEach(func(a int) {
-		if ok && !e.lhsExistenceCovered(fd.Lhs, a) {
-			ok = false
-		}
-	})
-	return ok, nil
-}
-
-// lhsExistenceCovered checks the Ycheck condition of Fig 5 in isolation:
-// every LHS field is populated by an attribute of an ancestor of the RHS
-// variable, and that attribute is guaranteed to exist.
-func (e *Engine) lhsExistenceCovered(lhs rel.AttrSet, rhsAttr int) bool {
-	rule := e.rule
-	schema := rule.Schema
-	x, ok := rule.VarOf(schema.Attrs[rhsAttr])
-	if !ok {
-		return false
-	}
-	lhsFields := make(map[string]bool, lhs.Card())
-	lhs.ForEach(func(i int) { lhsFields[schema.Attrs[i]] = true })
-	remaining := len(lhsFields)
-	// The trivial field A ∈ X discharges itself only through the ancestor
-	// walk below, exactly as in propagatesOne.
-	for _, target := range rule.Ancestors(x) {
-		attrs, covered := rule.AttrsOfVarForFields(target, lhsFields)
-		if len(attrs) == 0 {
-			continue
-		}
-		if e.dec.ExistsAllID(e.rootID(target), attrs) {
-			for _, f := range covered {
-				if lhsFields[f] {
-					delete(lhsFields, f)
-					remaining--
-				}
-			}
-		}
-	}
-	return remaining == 0
+	// The cover settles condition 2, so the walk only discharges the LHS
+	// fields (condition 1) and asks the decider nothing.
+	return e.walkRHS(ctx, fd, false)
 }
 
 // CoverAsStrings renders a cover with the schema's field names, sorted, for

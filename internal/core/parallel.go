@@ -52,44 +52,16 @@ func (e *Engine) batchWorkers() int {
 	return e.workers
 }
 
-// runIndexed evaluates f(0) .. f(n-1), fanning across up to workers
+// runIndexedErr evaluates f(0) .. f(n-1), fanning across up to workers
 // goroutines. With one worker (or one item) it degenerates to an inline
 // loop — the allocation-free sequential fast path. f must be safe to call
 // concurrently and must not assume evaluation order; callers get
 // determinism by writing results into index i and merging afterwards.
-func runIndexed(n, workers int, f func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runIndexedErr is runIndexed for fallible work: the first non-nil error
-// raises a stop flag that drains the remaining indices without running
-// them, and is returned after all workers settle. Which error wins under
-// concurrency is unspecified, but callers only ever see an error produced
-// by f, and out-slots for skipped indices keep their zero values.
+// The first non-nil error raises a stop flag that drains the remaining
+// indices without running them, and is returned after all workers settle.
+// Which error wins under concurrency is unspecified, but callers only ever
+// see an error produced by f, and out-slots for skipped indices keep their
+// zero values.
 func runIndexedErr(n, workers int, f func(int) error) error {
 	if workers > n {
 		workers = n
@@ -137,10 +109,7 @@ func runIndexedErr(n, workers int, f func(int) error) error {
 // pinned the pool). out[i] is the verdict for fds[i]; the result is
 // identical to calling Propagates on each FD in order.
 func (e *Engine) PropagatesAll(fds []rel.FD) []bool {
-	out := make([]bool, len(fds))
-	runIndexed(len(fds), e.batchWorkers(), func(i int) {
-		out[i] = e.Propagates(fds[i])
-	})
+	out, _ := e.PropagatesAllCtx(nil, fds) // an unbudgeted batch cannot abort
 	return out
 }
 

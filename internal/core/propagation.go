@@ -14,6 +14,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"xkprop/internal/rel"
@@ -197,28 +198,38 @@ func (e *Engine) PropagatesCtx(ctx context.Context, fd rel.FD) (bool, error) {
 // propagates checks every attribute on the right-hand side; a nil ctx is
 // the legacy unbudgeted path with zero overhead.
 func (e *Engine) propagates(ctx context.Context, fd rel.FD) (bool, error) {
-	attrs := make([]int, 0, fd.Rhs.Card())
-	fd.Rhs.ForEach(func(i int) { attrs = append(attrs, i) })
-	for _, i := range attrs {
-		ok, err := e.propagatesOne(ctx, fd.Lhs, i)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	return e.walkRHS(ctx, fd, true)
 }
 
-// propagatesOne checks X → A for a single attribute position.
-func (e *Engine) propagatesOne(ctx context.Context, lhs rel.AttrSet, rhsAttr int) (bool, error) {
-	rule := e.rule
-	schema := rule.Schema
+// walkRHS walks each right-hand-side attribute of fd in turn and reports
+// whether every walk met both conditions, stopping at the first that
+// does not.
+func (e *Engine) walkRHS(ctx context.Context, fd rel.FD, findKey bool) (bool, error) {
+	ok := true
+	var err error
+	fd.Rhs.ForEach(func(a int) {
+		if ok && err == nil {
+			var keyFound, nullSafe bool
+			keyFound, nullSafe, err = e.walk(ctx, fd.Lhs, a, findKey, nil)
+			ok = keyFound && nullSafe
+		}
+	})
+	return ok && err == nil, err
+}
+
+// walk is Algorithm propagation's keyed-ancestor walk (Fig 5) for X → A,
+// A the field at rhsAttr: keyFound is condition 2 (some keyed ancestor
+// has A's variable unique under it) and nullSafe is condition 1 (every X
+// field is guaranteed non-null when A is). With findKey false the key
+// search counts as already satisfied, so only the existence closure runs
+// and no implication query is issued — GPropagates' null-safety check. A
+// non-nil ex records each step the way Example 4.2 narrates it.
+func (e *Engine) walk(ctx context.Context, lhs rel.AttrSet, rhsAttr int, findKey bool, ex *Explanation) (keyFound, nullSafe bool, err error) {
+	rule, schema := e.rule, e.rule.Schema
 	field := schema.Attrs[rhsAttr]
 	x, ok := rule.VarOf(field)
 	if !ok {
-		return false, nil
+		return false, false, nil
 	}
 
 	// Fields of X, by name, plus the bookkeeping set Ycheck of fields whose
@@ -232,55 +243,74 @@ func (e *Engine) propagatesOne(ctx context.Context, lhs rel.AttrSet, rhsAttr int
 
 	// A trivial FD (A ∈ X) needs no keyed ancestor: condition 2 is
 	// immediate; only the existence bookkeeping below remains.
-	keyFound := lhsFields[field]
+	keyFound = !findKey
+	if lhsFields[field] {
+		keyFound = true
+		ex.add(Step{Kind: StepTrivial})
+	}
 
 	cur := transform.RootVar
 	for _, target := range rule.Ancestors(x) {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return false, err
+				return false, false, err
 			}
 		}
 		// ß (Fig 5 line 13): attributes of target that populate X fields.
 		attrs, covered := rule.AttrsOfVarForFields(target, lhsFields)
 		if !keyFound {
 			ctxPath := e.pathFromRoot(cur)
-			// A failed path lookup must skip the step: the zero-value path
+			// A failed path lookup must fail the step: the zero-value path
 			// reads as ε, which would prove a bogus uniqueness key and
 			// silently mis-decide propagation.
 			relPath, ok := rule.PathBetween(cur, target)
+			keyed := false
 			if ok {
-				keyed, err := e.dec.ImpliesCTCtx(ctx, ctxPath, relPath, attrs)
-				if err != nil {
-					return false, err
+				if keyed, err = e.dec.ImpliesCTCtx(ctx, ctxPath, relPath, attrs); err != nil {
+					return false, false, err
 				}
-				if keyed {
-					// target is keyed relative to the context variable by
-					// attributes that populate X fields; advance the context
-					// (sound by the target-to-context rule).
-					cur = target
-					// Is x unique under the new context?
-					if uniq, ok := rule.PathBetween(cur, x); ok {
-						u, err := e.dec.ImpliesCTCtx(ctx, e.pathFromRoot(cur), uniq, nil)
-						if err != nil {
-							return false, err
-						}
-						if u {
-							keyFound = true
-						}
+			}
+			if !keyed {
+				ex.add(Step{Kind: StepNotKeyed, Target: target, Query: ex.query(ctxPath, relPath, attrs)})
+			} else {
+				// target is keyed relative to the context variable by
+				// attributes that populate X fields; advance the context
+				// (sound by the target-to-context rule).
+				ex.add(Step{Kind: StepKeyed, Target: target, Query: ex.query(ctxPath, relPath, attrs)})
+				cur, ctxPath = target, e.pathFromRoot(target)
+				// Is x unique under the new context?
+				uniq, ok := rule.PathBetween(cur, x)
+				if ok {
+					if keyFound, err = e.dec.ImpliesCTCtx(ctx, ctxPath, uniq, nil); err != nil {
+						return false, false, err
 					}
 				}
+				kind := StepNotUnique
+				if keyFound {
+					kind = StepUnique
+				}
+				ex.add(Step{Kind: kind, Target: target, Query: ex.query(ctxPath, uniq, nil)})
 			}
 		}
 		// exist() (Fig 5 lines 19–21): discharge X fields whose attributes
-		// are guaranteed to exist on every target node.
+		// are guaranteed to exist on every target node. A field has one
+		// variable, under one target, so covered fields are still pending.
 		if len(attrs) > 0 && e.dec.ExistsAllID(e.rootID(target), attrs) {
 			for _, f := range covered {
 				delete(ycheck, f)
 			}
+			ex.add(Step{Kind: StepExists, Target: target, Fields: covered})
 		}
 	}
-	return keyFound && len(ycheck) == 0, nil
+	if len(ycheck) > 0 && ex != nil {
+		missing := make([]string, 0, len(ycheck))
+		for f := range ycheck {
+			missing = append(missing, f)
+		}
+		slices.Sort(missing)
+		ex.add(Step{Kind: StepMissingExistence, Fields: missing})
+	}
+	return keyFound, len(ycheck) == 0, nil
 }
 
 // Propagates is the convenience entry point: Algorithm propagation with a

@@ -7,12 +7,22 @@ import (
 	"xkprop/internal/paperdata"
 )
 
+// annotated runs AnnotatedCover unbudgeted, which cannot abort.
+func annotated(t *testing.T, e *Engine) []AnnotatedFD {
+	t.Helper()
+	anns, err := e.AnnotatedCover(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return anns
+}
+
 // TestAnnotatedCoverPaperExample51: the provenance of the secName FD is
 // exactly Example 5.1's narration — φ1 keys the book, φ2 the chapter
 // relative to it, φ6 the section relative to that, and φ5 pins the name.
 func TestAnnotatedCoverPaperExample51(t *testing.T) {
 	e := NewEngine(paperdata.Keys(), paperdata.UniversalRule())
-	anns := e.AnnotatedCover()
+	anns := annotated(t, e)
 	if len(anns) != 4 {
 		t.Fatalf("annotated cover size = %d", len(anns))
 	}
@@ -52,7 +62,7 @@ func TestAnnotatedCoverPaperExample51(t *testing.T) {
 // with a chain (the cover was built from exactly these chains).
 func TestAnnotatedCoverAllMembersHaveProvenance(t *testing.T) {
 	e := NewEngine(paperdata.Keys(), paperdata.UniversalRule())
-	for _, a := range e.AnnotatedCover() {
+	for _, a := range annotated(t, e) {
 		if a.Node == "" || len(a.Chain) == 0 || a.Unique == "" {
 			t.Errorf("FD %s lacks provenance: %+v", a.FD.Format(e.Rule().Schema), a)
 		}
@@ -62,7 +72,7 @@ func TestAnnotatedCoverAllMembersHaveProvenance(t *testing.T) {
 // TestAnnotatedCoverBookFDs: the book-level FDs chain through φ1 only.
 func TestAnnotatedCoverBookFDs(t *testing.T) {
 	e := NewEngine(paperdata.Keys(), paperdata.UniversalRule())
-	for _, a := range e.AnnotatedCover() {
+	for _, a := range annotated(t, e) {
 		f := a.FD.Format(e.Rule().Schema)
 		if f == "bookIsbn → bookTitle" || f == "bookIsbn → authContact" {
 			if len(a.Chain) != 1 || a.Chain[0] != "φ1" {

@@ -191,27 +191,49 @@ func randomBookDoc(rng *rand.Rand) string {
 }
 
 // TestBudgetAborts: each cap aborts with its typed resource error, and an
-// aborted run returns no Result (abort-soundness).
+// aborted run returns no Result (abort-soundness). A cap is a ceiling, not
+// a trip wire: a document whose FD index holds exactly k entries shreds
+// under a cap of k and aborts under k−1.
 func TestBudgetAborts(t *testing.T) {
 	testutil.GuardGoroutines(t, 5*time.Second)
+	type input struct {
+		tr   *transform.Transformation
+		doc  string
+		opts Options
+	}
 	wl := workload.Generate(workload.Config{Fields: 8, Depth: 3, Keys: 6})
-	doc := wl.Document(3).XMLString()
-	tr := transform.MustTransformation(wl.Rule)
-	cover := coverFor(t, wl.Sigma, wl.Rule)
+	generated := input{transform.MustTransformation(wl.Rule), wl.Document(3).XMLString(), Options{
+		Sigma: wl.Sigma, Covers: map[string][]rel.FD{wl.Rule.Schema.Name: coverFor(t, wl.Sigma, wl.Rule)},
+	}}
+	// Two chapters of one book: the index of inBook, number → name holds
+	// exactly two entries.
+	ch := transform.MustParseString(badTransform)
+	twoEntries := input{ch,
+		`<db><book isbn="1"><chapter number="1"><name>A</name></chapter>` +
+			`<chapter number="2"><name>A</name></chapter></book></db>`,
+		Options{Covers: map[string][]rel.FD{"chapter": coverFor(t, xmlkey.MustParseSet(badKeys), ch.Rules[0])}},
+	}
 	cases := []struct {
 		name     string
+		in       input
 		b        budget.Budget
-		resource budget.Resource
+		resource budget.Resource // empty: the run completes
 	}{
-		{"tuples", budget.Budget{MaxTuples: 5}, budget.Tuples},
-		{"fd-index", budget.Budget{MaxFDIndexEntries: 3}, budget.FDIndexEntries},
-		{"depth", budget.Budget{MaxStreamDepth: 2}, budget.StreamDepth},
+		{"tuples", generated, budget.Budget{MaxTuples: 5}, budget.Tuples},
+		{"fd-index", generated, budget.Budget{MaxFDIndexEntries: 3}, budget.FDIndexEntries},
+		{"depth", generated, budget.Budget{MaxStreamDepth: 2}, budget.StreamDepth},
+		{"fd-index at the cap", twoEntries, budget.Budget{MaxFDIndexEntries: 2}, ""},
+		{"fd-index past the cap", twoEntries, budget.Budget{MaxFDIndexEntries: 1}, budget.FDIndexEntries},
 	}
 	for _, c := range cases {
 		ctx := budget.With(context.Background(), c.b)
-		res, err := Run(ctx, tr, strings.NewReader(doc), Discard{}, Options{
-			Sigma: wl.Sigma, Covers: map[string][]rel.FD{wl.Rule.Schema.Name: cover},
-		})
+		res, err := Run(ctx, c.in.tr, strings.NewReader(c.in.doc), Discard{}, c.in.opts)
+		if c.resource == "" {
+			if err != nil || res == nil {
+				t.Errorf("%s: err = %v, want a Result", c.name, err)
+			}
+			continue
+		}
 		if res != nil {
 			t.Errorf("%s: aborted run returned a partial Result", c.name)
 		}
