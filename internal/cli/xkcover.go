@@ -69,7 +69,15 @@ func RunXkcover(args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := deadline.Context()
 	defer cancel()
 	eng := xkprop.NewEngine(sigma, rule).SetWorkers(*parallel)
-	cover, err := eng.MinimumCoverCtx(ctx)
+	var anns []xkprop.AnnotatedFD
+	if *why {
+		// AnnotatedCover leaves its cover in the engine's cache, where
+		// CachedCoverCtx finds it: one build serves both.
+		if anns, err = eng.AnnotatedCover(ctx); err != nil {
+			return failOrAbort(stderr, "xkcover", err)
+		}
+	}
+	cover, err := eng.CachedCoverCtx(ctx)
 	if err != nil {
 		return failOrAbort(stderr, "xkcover", err)
 	}
@@ -77,10 +85,6 @@ func RunXkcover(args []string, stdout, stderr io.Writer) int {
 	io.WriteString(stdout, indent(xkprop.FormatFDs(rule.Schema, cover)))
 
 	if *why {
-		anns, err := eng.AnnotatedCover(ctx)
-		if err != nil {
-			return failOrAbort(stderr, "xkcover", err)
-		}
 		fmt.Fprintln(stdout, "provenance:")
 		for _, a := range anns {
 			io.WriteString(stdout, indent(a.Format(rule.Schema)))

@@ -294,39 +294,44 @@ func (e *Engine) GPropagatesCtx(ctx context.Context, fd rel.FD) (bool, error) {
 // first pays for the build. An aborted build (cancellation, budget) leaves
 // the cache empty, so a later call with a live context still succeeds.
 func (e *Engine) CachedCoverCtx(ctx context.Context) ([]rel.FD, error) {
-	cover, _, err := e.minCoverCached(ctx)
+	cover, _, err := e.minCoverCached(ctx, nil)
 	return cover, err
 }
 
 // minCoverCached returns the lazily built cover and its compiled FD index,
 // building both at most once successfully; failed builds leave the cache
-// empty. The index's closure cache is capped by budget.MaxClosureEntries
-// (0 = the rel package default).
-func (e *Engine) minCoverCached(ctx context.Context) ([]rel.FD, *rel.FDIndex, error) {
+// empty. A non-nil rec (AnnotatedCover) runs the candidate search even
+// when the cover is cached, to record it, and a cover built from that
+// search fills the cache. The index's closure cache is capped by
+// budget.MaxClosureEntries (0 = the rel package default).
+func (e *Engine) minCoverCached(ctx context.Context, rec *provenance) ([]rel.FD, *rel.FDIndex, error) {
 	e.coverMu.Lock()
 	defer e.coverMu.Unlock()
-	if e.coverBuilt {
+	if e.coverBuilt && rec == nil {
 		return e.cover, e.coverIdx, nil
 	}
-	cover, err := e.MinimumCoverCtx(ctx)
+	cands, err := e.coverCandidates(ctx, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	ix := rel.NewFDIndex(cover)
-	limit := 0
-	if b := budget.From(ctx); b != nil {
-		limit = b.MaxClosureEntries
+	if !e.coverBuilt {
+		cover := rel.Minimize(cands)
+		ix := rel.NewFDIndex(cover)
+		limit := 0
+		if b := budget.From(ctx); b != nil {
+			limit = b.MaxClosureEntries
+		}
+		ix.EnableCache(limit)
+		e.cover, e.coverIdx, e.coverBuilt = cover, ix, true
 	}
-	ix.EnableCache(limit)
-	e.cover, e.coverIdx, e.coverBuilt = cover, ix, true
-	return cover, ix, nil
+	return e.cover, e.coverIdx, nil
 }
 
 // CandidateKeysCtx enumerates the minimal keys of the rule's relation under
 // the cached cover, reusing the engine's compiled FD index so warm requests
 // skip both the cover build and index construction.
 func (e *Engine) CandidateKeysCtx(ctx context.Context, limit int) ([]rel.AttrSet, error) {
-	_, ix, err := e.minCoverCached(ctx)
+	_, ix, err := e.minCoverCached(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +350,7 @@ func (e *Engine) ClosureCacheLen() int {
 }
 
 func (e *Engine) gPropagates(ctx context.Context, fd rel.FD) (bool, error) {
-	_, ix, err := e.minCoverCached(ctx)
+	_, ix, err := e.minCoverCached(ctx, nil)
 	if err != nil {
 		return false, err
 	}
@@ -361,9 +366,7 @@ func (e *Engine) gPropagates(ctx context.Context, fd rel.FD) (bool, error) {
 // stable display and golden tests.
 func (e *Engine) CoverAsStrings(cover []rel.FD) []string {
 	out := make([]string, len(cover))
-	cp := append([]rel.FD(nil), cover...)
-	rel.SortFDs(cp)
-	for i, f := range cp {
+	for i, f := range cover {
 		out[i] = f.Format(e.rule.Schema)
 	}
 	sort.Strings(out)

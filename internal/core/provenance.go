@@ -55,6 +55,9 @@ func keyRef(k xmlkey.Key) string {
 // provenance recorded while its candidates were built: the first node in
 // table order that has the FD's LHS as a transitive key and its RHS
 // variable unique under it, with the first chain that built that key.
+// The cover is the engine's cached one (CachedCoverCtx), built from the
+// recorded candidates when the cache is empty, so a caller that wants
+// both asks CachedCoverCtx afterwards and pays for one build.
 // Under a context that is cancelled, or whose budget runs out, it returns
 // (nil, err). A nil ctx runs unbudgeted.
 func (e *Engine) AnnotatedCover(ctx context.Context) ([]AnnotatedFD, error) {
@@ -65,11 +68,10 @@ func (e *Engine) AnnotatedCover(ctx context.Context) ([]AnnotatedFD, error) {
 		chains: make([][]keyChain, len(e.paths.vars)),
 	}
 	p.chains[0] = []keyChain{{}}
-	cands, err := e.coverCandidates(ctx, p)
+	cover, _, err := e.minCoverCached(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	cover := rel.Minimize(cands)
 	out := make([]AnnotatedFD, 0, len(cover))
 	for _, fd := range cover {
 		out = append(out, p.annotate(fd))

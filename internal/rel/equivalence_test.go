@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// The tests in this file pin the three shortcuts of the design passes to
-// the computations they replace: the memoised LHS reduction in Minimize,
-// the fragment keys BCNF takes from the full index, and the violation
-// pre-check that spares BCNF-clean fragments the exact projection.
+// The tests in this file pin the shortcuts of the design passes to the
+// computations they replace: Minimize's index over distinct LHSs and its
+// memoised LHS reduction, the fragment keys BCNF takes from the full
+// index, and the violation pre-check that spares BCNF-clean fragments the
+// exact projection.
 
 // keyedFDs builds a seeded FD list over nAttrs attributes shaped like
 // minimumCover's candidates: a few keys, each the LHS of several FDs,
@@ -44,23 +45,151 @@ func reduceLHSPerQuery(work []FD) {
 	}
 }
 
-// TestReduceLHSMatchesPerQuery: the memoised reduction makes the same
-// decisions as one implication query per attribute, FD by FD.
+// splitRhs rewrites the FDs into an equivalent list with singleton
+// right-hand sides, one FD per RHS attribute in ascending order.
+func splitRhs(fds []FD) []FD {
+	var out []FD
+	for _, f := range fds {
+		f.Rhs.ForEach(func(i int) {
+			out = append(out, FD{Lhs: f.Lhs, Rhs: AttrSet{}.With(i)})
+		})
+	}
+	return out
+}
+
+// dedup removes syntactic duplicates (same LHS and RHS), keeping the first.
+func dedup(fds []FD) []FD {
+	seen := make(map[string]bool, len(fds))
+	var out []FD
+	for _, f := range fds {
+		k := f.Lhs.key() + "|" + f.Rhs.key()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		out = append(out, f)
+	}
+	return out
+}
+
+// splitNonTrivial is splitRhs and dedup without the trivial FDs: the list
+// Minimize's grouping pass keeps.
+func splitNonTrivial(fds []FD) []FD {
+	var out []FD
+	for _, f := range dedup(splitRhs(fds)) {
+		if !f.IsTrivial() {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// minimizePerFD is Minimize over an index with one dep per split FD:
+// split, dedup and drop trivial FDs, reduce LHSs with one implication
+// query per attribute, dedup again, then drop each FD that the others
+// imply, taking FD i out by zeroing its row. It also reports whether some
+// LHS was reduced and how many FDs were redundant, so that a test can tell
+// both paths of Minimize ran.
+func minimizePerFD(fds []FD) (cover []FD, reduced bool, redundant int) {
+	work := splitNonTrivial(fds)
+	before := append([]FD(nil), work...)
+	reduceLHSPerQuery(work)
+	for i := range work {
+		if !work[i].Lhs.Equal(before[i].Lhs) {
+			reduced = true
+		}
+	}
+	work = dedup(work)
+	ix := NewFDIndex(work)
+	live := ix.liveRows()
+	for i, f := range work {
+		row := live[i*ix.nWords : (i+1)*ix.nWords]
+		saved := append([]uint64(nil), row...)
+		clear(row)
+		if ix.impliesLive(f, live) {
+			redundant++
+			continue
+		}
+		copy(row, saved)
+		cover = append(cover, f)
+	}
+	return cover, reduced, redundant
+}
+
+// sameFDs reports whether two FD lists hold equal FDs in the same order.
+func sameFDs(a, b []FD) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Lhs.Equal(b[i].Lhs) || !a[i].Rhs.Equal(b[i].Rhs) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMinimizeMatchesPerFD: Minimize over the LHS groups returns the
+// per-FD cover, FD for FD and in order, on lists shaped like
+// minimumCover's candidates and on random lists, over one-, two- and
+// three-word universes, with empty and repeated LHSs and multi-attribute
+// RHSs. Both of its paths must run: lists that reduce an LHS (and are
+// regrouped) and lists that do not, and FDs that are redundant.
+func TestMinimizeMatchesPerFD(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	var reducedLists, plainLists, redundant int
+	words := map[int]int{}
+	for trial := 0; trial < 5000; trial++ {
+		nAttrs := 2 + r.Intn(190)
+		var fds []FD
+		if trial%2 == 0 {
+			fds = keyedFDs(r, nAttrs)
+		} else {
+			fds = randomFDs(r, nAttrs, r.Intn(60))
+		}
+		want, reduced, red := minimizePerFD(fds)
+		got := Minimize(fds)
+		if !sameFDs(got, want) {
+			t.Fatalf("trial %d (%d attributes): grouped cover %v, per-FD cover %v, input %v",
+				trial, nAttrs, got, want, fds)
+		}
+		if !EquivalentCovers(fds, got) {
+			t.Fatalf("trial %d: cover %v is not equivalent to %v", trial, got, fds)
+		}
+		if reduced {
+			reducedLists++
+		} else {
+			plainLists++
+		}
+		redundant += red
+		words[(nAttrs+63)/64]++
+	}
+	if reducedLists == 0 || plainLists == 0 || redundant == 0 {
+		t.Fatalf("%d lists reduced an LHS, %d did not, %d FDs were redundant: the inputs do not exercise both paths",
+			reducedLists, plainLists, redundant)
+	}
+	if len(words) != 3 {
+		t.Fatalf("universe widths %v: want one, two and three words", words)
+	}
+}
+
+// TestReduceLHSMatchesPerQuery: the memoised reduction over the LHS
+// groups makes the same decisions as one implication query per attribute
+// over the FDs, FD by FD.
 func TestReduceLHSMatchesPerQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	reduced := 0
 	for trial := 0; trial < 300; trial++ {
 		nAttrs := 2 + r.Intn(140) // crosses the one- and two-word boundaries
-		var work []FD
-		for _, f := range Dedup(SplitRhs(keyedFDs(r, nAttrs))) {
-			if !f.IsTrivial() {
-				work = append(work, f)
-			}
-		}
+		g := groupByLHS(keyedFDs(r, nAttrs))
+		work := g.fds
 		got := append([]FD(nil), work...)
 		want := append([]FD(nil), work...)
-		reduceLHS(got)
+		changed := reduceLHS(NewFDIndex(g.lhs), got)
 		reduceLHSPerQuery(want)
+		if changed != !sameFDs(want, work) {
+			t.Fatalf("trial %d: reduceLHS reports changed=%v", trial, changed)
+		}
 		for i := range want {
 			if !got[i].Lhs.Equal(want[i].Lhs) || !got[i].Rhs.Equal(want[i].Rhs) {
 				t.Fatalf("trial %d, FD %d: memoised reduction %v → %v, per-query %v → %v",

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -69,12 +70,13 @@ func MustParseFD(s *Schema, text string) FD {
 
 // Closure computes the attribute closure X⁺ of x under the FDs, using the
 // classic fixpoint (linear passes over the FD list). It is the oracle the
-// indexed FDIndex closure is checked against. Minimize and BCNF run on an
-// FDIndex, except for the keys of BCNF fragments wider than
-// maxProjectionAttrs; the callers that still reach the fixpoint are
-// Implies (and ImpliesAll with one goal), CandidateKey and IsSuperkey, and
-// through them ThreeNF and those wide-fragment keys. The accumulator is a
-// single mutable word slice, so a fixpoint step allocates nothing.
+// indexed FDIndex closure is checked against. Minimize runs on an FDIndex
+// over the list's distinct LHSs and BCNF on one over the list itself,
+// except for the keys of BCNF fragments wider than maxProjectionAttrs. The
+// callers that still reach the fixpoint are Implies (and ImpliesAll with
+// one goal), CandidateKey and IsSuperkey, and through them ThreeNF and
+// those wide-fragment keys. The accumulator is a single mutable word
+// slice, so a fixpoint step allocates nothing.
 func Closure(fds []FD, x AttrSet) AttrSet {
 	n := len(x.words)
 	for _, f := range fds {
@@ -139,145 +141,187 @@ func EquivalentCovers(f, g []FD) bool {
 	return ImpliesAll(f, g) && ImpliesAll(g, f)
 }
 
-// SplitRhs rewrites the FDs into an equivalent list with singleton
-// right-hand sides (the canonical form used by minimize).
-func SplitRhs(fds []FD) []FD {
-	var out []FD
-	for _, f := range fds {
-		f.Rhs.ForEach(func(i int) {
-			out = append(out, FD{Lhs: f.Lhs, Rhs: AttrSet{}.With(i)})
-		})
+// Minimize computes a minimum cover of the input FDs: singleton right-hand
+// sides, no extraneous left-hand-side attributes, no redundant FDs. This is
+// the paper's function minimize (Fig 5 inset; Beeri & Bernstein 1979): it
+// runs in quadratic time in the size of the input FD list.
+//
+// Both passes run on one FDIndex over the distinct LHSs (groupByLHS):
+// minimumCover emits K → A once per transitive key K and field A, so a few
+// LHSs carry most of the FDs, and an index over the FDs themselves would
+// walk each LHS once per FD that shares it. The grouped index has the same
+// closures as the FD list, so every decision is the one a per-FD index
+// makes, and the cover comes out in the same order.
+func Minimize(fds []FD) []FD {
+	g := groupByLHS(fds)
+	ix := NewFDIndex(g.lhs)
+	if reduceLHS(ix, g.fds) {
+		// A reduced FD may now repeat another or join another LHS's
+		// group, so the redundancy pass needs the list regrouped.
+		g = groupByLHS(g.fds)
+		ix = NewFDIndex(g.lhs)
 	}
-	return out
-}
 
-// Dedup removes syntactic duplicates (same LHS and RHS).
-func Dedup(fds []FD) []FD {
-	seen := make(map[string]bool, len(fds))
-	var out []FD
-	var buf []byte
-	for _, f := range fds {
-		buf = appendFDKey(buf[:0], f)
-		if seen[string(buf)] {
-			continue
+	// Eliminate redundant FDs: X → A is redundant if the rest implies it.
+	// "The rest" is the index with A cleared from X's live row, and from
+	// the rows of the FDs already dropped. Each (X, A) pair is one FD of
+	// the grouped list, so clearing one bit disables exactly that FD.
+	out := make([]FD, 0, len(g.fds))
+	live := ix.liveRows()
+	for i, f := range g.fds {
+		row := live[int(g.group[i])*ix.nWords:]
+		for wi, w := range f.Rhs.words {
+			row[wi] &^= w
 		}
-		seen[string(buf)] = true
+		if ix.impliesLive(f, live) {
+			continue // redundant: stays cleared
+		}
+		for wi, w := range f.Rhs.words {
+			row[wi] |= w
+		}
 		out = append(out, f)
 	}
 	return out
 }
 
-// appendFDKey encodes (Lhs, Rhs) unambiguously into buf: the trimmed LHS
-// word count, then the LHS words, then the RHS words, all big-endian.
-func appendFDKey(buf []byte, f FD) []byte {
-	lhs, rhs := f.Lhs.trim(), f.Rhs.trim()
-	buf = append(buf, byte(len(lhs.words)))
-	for _, w := range lhs.words {
-		buf = append(buf,
-			byte(w>>56), byte(w>>48), byte(w>>40), byte(w>>32),
-			byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
-	}
-	for _, w := range rhs.words {
-		buf = append(buf,
-			byte(w>>56), byte(w>>48), byte(w>>40), byte(w>>32),
-			byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
-	}
-	return buf
+// lhsGroups is an FD list split into single-attribute FDs and grouped by
+// left-hand side.
+type lhsGroups struct {
+	fds   []FD    // X → A, trimmed, in input order
+	group []int32 // fds[i]'s group: the index of its X in lhs
+	lhs   []FD    // one FD per distinct X, first seen first: X → its A's
 }
 
-// Minimize computes a minimum cover of the input FDs: singleton right-hand
-// sides, no extraneous left-hand-side attributes, no redundant FDs. This is
-// the paper's function minimize (Fig 5 inset; Beeri & Bernstein 1979): it
-// runs in quadratic time in the size of the input FD list.
-func Minimize(fds []FD) []FD {
-	work := Dedup(SplitRhs(fds))
-	// Drop trivial FDs up front; they are always redundant.
-	kept := work[:0]
-	for _, f := range work {
-		if !f.IsTrivial() {
-			kept = append(kept, f)
+// groupByLHS splits the right-hand sides into single attributes, in
+// input order and ascending attribute order within an FD, and drops
+// trivial FDs X → A (A ∈ X) and repeated (X, A) pairs, keeping the first:
+// the list that splitting, deduplicating and dropping trivial FDs would
+// leave, with one map keyed by X. The kept FDs share their LHS words with
+// the input, and an FD whose RHS is already one attribute keeps its RHS
+// too, so regrouping a split list allocates no sets. The group RHSs are
+// rows of one word arena.
+func groupByLHS(fds []FD) lhsGroups {
+	nWords, nAttrs := 0, 0
+	for _, f := range fds {
+		if n := len(f.Lhs.trim().words); n > nWords {
+			nWords = n
+		}
+		if n := len(f.Rhs.trim().words); n > nWords {
+			nWords = n
+		}
+		nAttrs += f.Rhs.Card()
+	}
+	// Sized for lists whose LHSs are nearly all distinct: growing the map
+	// and the FD list from empty made Minimize up to a third slower there.
+	g := lhsGroups{fds: make([]FD, 0, nAttrs), group: make([]int32, 0, nAttrs)}
+	index := make(map[string]int32, len(fds))
+	var arena []uint64
+	var key []byte
+	for _, f := range fds {
+		if f.IsTrivial() {
+			continue
+		}
+		lhs, rhs := f.Lhs.trim(), f.Rhs.trim()
+		key = lhs.AppendKey(key[:0])
+		gi, ok := index[string(key)]
+		if !ok {
+			gi = int32(len(g.lhs))
+			index[string(key)] = gi
+			g.lhs = append(g.lhs, FD{Lhs: lhs})
+			arena = append(arena, make([]uint64, nWords)...)
+		}
+		row := arena[int(gi)*nWords:]
+		single := rhs.Card() == 1
+		for wi, w := range rhs.words {
+			if wi < len(lhs.words) {
+				w &^= lhs.words[wi]
+			}
+			w &^= row[wi]
+			row[wi] |= w
+			for ; w != 0; w &= w - 1 {
+				a := rhs
+				if !single {
+					a = AttrSet{}.With(wi*64 + bits.TrailingZeros64(w))
+				}
+				g.fds = append(g.fds, FD{Lhs: lhs, Rhs: a})
+				g.group = append(g.group, gi)
+			}
 		}
 	}
-	work = kept
-
-	reduceLHS(work)
-	work = Dedup(work)
-
-	// Eliminate redundant FDs: f is redundant if the rest implies it. The
-	// reduced list gets a fresh index; "the rest" is the index minus the
-	// current FD and the ones already dropped, expressed as a disabled mask
-	// so no per-iteration list rebuild (or index rebuild) is needed.
-	out := make([]FD, 0, len(work))
-	ix := NewFDIndex(work)
-	disabled := make([]bool, len(work))
-	for i := range work {
-		disabled[i] = true
-		if ix.impliesDisabled(work[i], disabled) {
-			continue // redundant: stays disabled
-		}
-		disabled[i] = false
-		out = append(out, work[i])
+	for i := range g.lhs {
+		g.lhs[i].Rhs = AttrSet{words: arena[i*nWords : (i+1)*nWords]}
 	}
-	return out
+	return g
 }
 
-// reduceLHS eliminates extraneous LHS attributes in place: B ∈ X is
-// extraneous in X → A if (X ∖ B) → A already follows from the full set.
-// One index compiled from the pre-reduction list answers every test: each
-// accepted reduction replaces X → A with an FD the current set already
-// implies, so every intermediate set is Armstrong-equivalent to the
-// original and has the same closure function.
+// reduceLHS eliminates extraneous LHS attributes in place and reports
+// whether it removed any: B ∈ X is extraneous in X → A if (X ∖ B) → A
+// already follows from the full set. ix, an index over the list or over
+// any Armstrong-equivalent list such as its LHS groups, answers every
+// test: each accepted reduction replaces X → A with an FD the current set
+// already implies, so every intermediate set is Armstrong-equivalent to
+// the original and has the same closure function.
 //
 // (X ∖ B) → A holds exactly when A ⊆ (X ∖ B)⁺, so each distinct X ∖ B is
 // closed once and its closure kept for the rest of the call: minimumCover
 // emits K → A for every field A under a keyed node, so each K ∖ B recurs
 // once per field. The memo is local to the call, not the index's shared
 // closure cache, whose traffic is exported as process counters.
-func reduceLHS(work []FD) {
-	ix := NewFDIndex(work)
+func reduceLHS(ix *FDIndex, work []FD) bool {
 	s := ix.getScratch()
 	defer ix.putScratch(s)
 	// Every X ∖ B is a subset of an indexed LHS, so each closure is exactly
 	// ix.nWords words: memo maps a set key to its closure's offset in arena.
-	// Sized for lists whose LHSs are nearly all distinct, where almost every
-	// X ∖ B is new: growing the map from empty made those a few percent
-	// slower.
-	memo := make(map[string]int, len(work))
+	// Sized to the index, one entry per distinct LHS: where the LHSs are
+	// nearly all distinct, almost every X ∖ B is new, and growing the map
+	// from empty made those lists a few percent slower.
+	memo := make(map[string]int, ix.Len())
 	var arena []uint64
 	var key []byte
 	var reduced []uint64
+	changed := false
 	for i := range work {
-		lhs := work[i].Lhs.trim()
-		for _, b := range lhs.Positions() {
-			reduced = append(reduced[:0], lhs.words...)
-			reduced[b/64] &^= 1 << (uint(b) % 64)
-			x := AttrSet{words: reduced}.trim()
-			key = x.AppendKey(key[:0])
-			off, ok := memo[string(key)]
-			if !ok {
-				ix.run(s, x, nil, nil)
-				off = len(arena)
-				arena = append(arena, s.acc...)
-				memo[string(key)] = off
-			}
-			if subsetWords(work[i].Rhs.words, arena[off:off+ix.nWords]) {
-				lhs = AttrSet{words: append([]uint64(nil), x.words...)}
-				work[i].Lhs = lhs
+		// B runs over the original X in ascending order; lhs is X with
+		// the attributes removed so far.
+		orig := work[i].Lhs.trim()
+		lhs := orig
+		for wi, w := range orig.words {
+			for ; w != 0; w &= w - 1 {
+				reduced = append(reduced[:0], lhs.words...)
+				reduced[wi] &^= w & -w
+				x := AttrSet{words: reduced}.trim()
+				key = x.AppendKey(key[:0])
+				off, ok := memo[string(key)]
+				if !ok {
+					ix.run(s, x, nil, nil)
+					off = len(arena)
+					arena = append(arena, s.acc...)
+					memo[string(key)] = off
+				}
+				if subsetWords(work[i].Rhs.words, arena[off:off+ix.nWords]) {
+					lhs = AttrSet{words: append([]uint64(nil), x.words...)}
+					work[i].Lhs = lhs
+					changed = true
+				}
 			}
 		}
 	}
+	return changed
 }
 
 // IsNonRedundant reports whether no FD in the list is implied by the others.
 func IsNonRedundant(fds []FD) bool {
 	ix := NewFDIndex(fds)
-	disabled := make([]bool, len(fds))
+	live := ix.liveRows()
+	saved := make([]uint64, ix.nWords)
 	for i := range fds {
-		disabled[i] = true
-		if ix.impliesDisabled(fds[i], disabled) {
+		row := live[i*ix.nWords : (i+1)*ix.nWords]
+		copy(saved, row)
+		clear(row)
+		if ix.impliesLive(fds[i], live) {
 			return false
 		}
-		disabled[i] = false
+		copy(row, saved)
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -161,16 +162,71 @@ func TestMinimizeProperty(t *testing.T) {
 	}
 }
 
-func TestSplitRhsAndDedup(t *testing.T) {
+// TestGroupByLHS: the grouping pass keeps the FDs that splitting the
+// RHSs, dropping repeated FDs and dropping trivial FDs keep, in the same
+// order, and groups them by LHS in first-seen order, each group's RHS the
+// union of its FDs' attributes.
+func TestGroupByLHS(t *testing.T) {
 	s := MustSchema("r", "a", "b", "c")
-	fds := []FD{MustParseFD(s, "a -> b, c"), MustParseFD(s, "a -> b")}
-	split := SplitRhs(fds)
-	if len(split) != 3 {
-		t.Fatalf("SplitRhs len = %d", len(split))
+	fds := []FD{
+		MustParseFD(s, "a, b -> a, c"), // a is trivial
+		MustParseFD(s, "a -> b, c"),
+		MustParseFD(s, "b, a -> c"), // repeats (a, b) → c
+		MustParseFD(s, "a -> b"),    // repeats a → b
+		MustParseFD(s, "c -> c"),    // trivial: no group
 	}
-	dd := Dedup(split)
-	if len(dd) != 2 {
-		t.Fatalf("Dedup len = %d", len(dd))
+	g := groupByLHS(fds)
+	var got []string
+	for i, f := range g.fds {
+		got = append(got, fmt.Sprintf("%s @%d", f.Format(s), g.group[i]))
+	}
+	want := []string{"a, b → c @0", "a → b @1", "a → c @1"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("groupByLHS kept %q, want %q", got, want)
+	}
+	if len(g.lhs) != 2 || g.lhs[0].Format(s) != "a, b → c" || g.lhs[1].Format(s) != "a → b, c" {
+		t.Fatalf("groups %v", g.lhs)
+	}
+
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 500; trial++ {
+		nAttrs := 2 + r.Intn(190)
+		fds := randomFDs(r, nAttrs, r.Intn(60))
+		if trial%2 == 0 {
+			fds = keyedFDs(r, nAttrs)
+		}
+		g := groupByLHS(fds)
+		if want := splitNonTrivial(fds); !sameFDs(g.fds, want) {
+			t.Fatalf("trial %d: groupByLHS kept %v, split, dedup and trivial filter keep %v", trial, g.fds, want)
+		}
+		union := make([]AttrSet, len(g.lhs))
+		next := int32(0)
+		for i, f := range g.fds {
+			gi := g.group[i]
+			if gi > next {
+				t.Fatalf("trial %d: group %d used before group %d", trial, gi, next)
+			}
+			if gi == next {
+				next++
+			}
+			if !g.lhs[gi].Lhs.Equal(f.Lhs) {
+				t.Fatalf("trial %d: FD %d with LHS %v in group of %v", trial, i, f.Lhs.Positions(), g.lhs[gi].Lhs.Positions())
+			}
+			union[gi] = union[gi].Union(f.Rhs)
+		}
+		if int(next) != len(g.lhs) {
+			t.Fatalf("trial %d: %d groups, %d used", trial, len(g.lhs), next)
+		}
+		for gi, u := range union {
+			if !g.lhs[gi].Rhs.Equal(u) {
+				t.Fatalf("trial %d: group %d RHS %v, its FDs' union %v", trial, gi, g.lhs[gi].Rhs.Positions(), u.Positions())
+			}
+			for gj := 0; gj < gi; gj++ {
+				if g.lhs[gj].Lhs.Equal(g.lhs[gi].Lhs) {
+					t.Fatalf("trial %d: groups %d and %d share LHS %v", trial, gj, gi, g.lhs[gi].Lhs.Positions())
+				}
+			}
+		}
 	}
 }
 

@@ -11,10 +11,8 @@ package rel
 // construction, so any number of goroutines may query it concurrently:
 //
 //   - deps        the FD list, 1:1 with the input order (trimmed sets).
-//     Keeping the 1:1 correspondence — rather than split-RHS
-//     normalizing inside the index — is what lets Minimize
-//     and IsNonRedundant run "all but dep i" queries against
-//     one index via a disabled[] mask aligned with the input.
+//     The index does not split or group the list it is given;
+//     Minimize groups its FDs by LHS before compiling (fd.go).
 //   - postStart/  CSR posting lists: for attribute a, the dep indices whose
 //     postFD      LHS contains a are postFD[postStart[a]:postStart[a+1]].
 //   - baseCount   |LHS| per dep — the initial unsatisfied-attribute count.
@@ -30,14 +28,22 @@ package rel
 // cache key buffer) lives in a sync.Pool, so steady-state queries are
 // zero-alloc.
 //
+// Live rows. An implication query may fire each dep with a caller-owned
+// RHS instead of its indexed one: live holds nWords words per dep (see
+// liveRows), and a dep fires its row. Clearing attribute A in dep d's row
+// takes the single FD "LHS(d) → A" out of the closure without touching
+// counters or posting lists, which is how Minimize's redundancy pass asks
+// "do the others imply X → A" of an index with one dep per distinct X.
+// Zeroing a whole row takes dep d out (IsNonRedundant).
+//
 // Cache soundness. The optional cache maps start-set keys to published,
 // immutable closure AttrSets. Closure results are pure functions of the
 // (immutable) index and the start set, so a cached entry can never be
 // wrong; the abort rule (ClosureCtx never publishes after ctx trips)
 // exists so that a budget-exhausted request cannot grow shared state —
-// the same discipline as the implication decider's memo. Disabled-dep
-// queries (impliesDisabled) bypass the cache entirely: the cache key is
-// the start set alone, which is only valid for full-index closures.
+// the same discipline as the implication decider's memo. Live-row
+// queries (impliesLive) bypass the cache entirely: the cache key is the
+// start set alone, which is only valid for full-index closures.
 
 import (
 	"context"
@@ -180,9 +186,10 @@ func (ix *FDIndex) putScratch(s *fdScratch) { ix.pool.Put(s) }
 
 // run grows s.acc from start set x to its closure. With a non-nil goal it
 // returns early (true) the moment goal ⊆ acc; with a nil goal it runs to
-// the fixpoint and returns true. disabled, when non-nil, masks deps out of
-// the index ("all but these" queries); it must have one entry per dep.
-func (ix *FDIndex) run(s *fdScratch, x AttrSet, disabled []bool, goal []uint64) bool {
+// the fixpoint and returns true. live, when non-nil, holds the RHS each
+// dep fires (nWords words per dep, see liveRows); nil fires the indexed
+// RHSs.
+func (ix *FDIndex) run(s *fdScratch, x AttrSet, live []uint64, goal []uint64) bool {
 	n := ix.nWords
 	if len(x.words) > n {
 		n = len(x.words)
@@ -219,10 +226,7 @@ func (ix *FDIndex) run(s *fdScratch, x AttrSet, disabled []bool, goal []uint64) 
 		}
 	}
 	for _, d := range ix.zeroLHS {
-		if disabled != nil && disabled[d] {
-			continue
-		}
-		if ix.fire(s, int(d)) && goal != nil && subsetWords(goal, s.acc) {
+		if ix.fire(s, ix.rhs(d, live)) && goal != nil && subsetWords(goal, s.acc) {
 			return true
 		}
 	}
@@ -230,12 +234,9 @@ func (ix *FDIndex) run(s *fdScratch, x AttrSet, disabled []bool, goal []uint64) 
 		a := s.work[len(s.work)-1]
 		s.work = s.work[:len(s.work)-1]
 		for _, d := range ix.postFD[ix.postStart[a]:ix.postStart[a+1]] {
-			if disabled != nil && disabled[d] {
-				continue
-			}
 			s.counters[d]--
 			if s.counters[d] == 0 {
-				if ix.fire(s, int(d)) && goal != nil && subsetWords(goal, s.acc) {
+				if ix.fire(s, ix.rhs(d, live)) && goal != nil && subsetWords(goal, s.acc) {
 					return true
 				}
 			}
@@ -244,11 +245,30 @@ func (ix *FDIndex) run(s *fdScratch, x AttrSet, disabled []bool, goal []uint64) 
 	return goal == nil || subsetWords(goal, s.acc)
 }
 
-// fire ORs dep d's RHS into the accumulator, pushing newly gained
+// rhs returns the words dep d fires: its row of live, or its indexed RHS
+// when live is nil.
+func (ix *FDIndex) rhs(d int32, live []uint64) []uint64 {
+	if live == nil {
+		return ix.deps[d].Rhs.words
+	}
+	return live[int(d)*ix.nWords : (int(d)+1)*ix.nWords]
+}
+
+// liveRows returns a fresh copy of every dep's RHS, nWords words per dep,
+// for impliesLive: dep d's row is rows[d*nWords:(d+1)*nWords].
+func (ix *FDIndex) liveRows() []uint64 {
+	rows := make([]uint64, len(ix.deps)*ix.nWords)
+	for d, f := range ix.deps {
+		copy(rows[d*ix.nWords:], f.Rhs.words)
+	}
+	return rows
+}
+
+// fire ORs the RHS words rhs into the accumulator, pushing newly gained
 // attributes onto the worklist; reports whether anything was gained.
-func (ix *FDIndex) fire(s *fdScratch, d int) bool {
+func (ix *FDIndex) fire(s *fdScratch, rhs []uint64) bool {
 	gained := false
-	for wi, w := range ix.deps[d].Rhs.words {
+	for wi, w := range rhs {
 		nw := w &^ s.acc[wi]
 		if nw == 0 {
 			continue
@@ -331,7 +351,7 @@ func (ix *FDIndex) publish(key string, v AttrSet) {
 // stopping the closure as soon as the goal is reached. Always zero-alloc in
 // steady state; does not consult or populate the cache.
 func (ix *FDIndex) Implies(f FD) bool {
-	return ix.impliesDisabled(f, nil)
+	return ix.impliesLive(f, nil)
 }
 
 // ImpliesAll reports whether the indexed FDs imply every FD in gs.
@@ -344,17 +364,18 @@ func (ix *FDIndex) ImpliesAll(gs []FD) bool {
 	return true
 }
 
-// impliesDisabled is Implies with deps masked out — the "do the others
-// imply dep i" query Minimize and IsNonRedundant need. It bypasses the
+// impliesLive is Implies with each dep firing its row of live (see
+// liveRows) — the "do the others imply X → A" query of Minimize and
+// IsNonRedundant, asked with A cleared from X's row. It bypasses the
 // cache: cached closures are keyed by start set alone, which is only valid
 // against the full index.
-func (ix *FDIndex) impliesDisabled(f FD, disabled []bool) bool {
+func (ix *FDIndex) impliesLive(f FD, live []uint64) bool {
 	goal := f.Rhs.trim()
 	if len(goal.words) == 0 {
 		return true
 	}
 	s := ix.getScratch()
-	ok := ix.run(s, f.Lhs, disabled, goal.words)
+	ok := ix.run(s, f.Lhs, live, goal.words)
 	ix.putScratch(s)
 	return ok
 }
@@ -420,7 +441,7 @@ func (ix *FDIndex) trace(x AttrSet) ([]DerivationStep, AttrSet) {
 	}
 	for _, d := range ix.zeroLHS {
 		record(d)
-		ix.fire(s, int(d))
+		ix.fire(s, ix.deps[d].Rhs.words)
 	}
 	for len(s.work) > 0 {
 		a := s.work[len(s.work)-1]
@@ -429,7 +450,7 @@ func (ix *FDIndex) trace(x AttrSet) ([]DerivationStep, AttrSet) {
 			s.counters[d]--
 			if s.counters[d] == 0 {
 				record(d)
-				ix.fire(s, int(d))
+				ix.fire(s, ix.deps[d].Rhs.words)
 			}
 		}
 	}

@@ -85,22 +85,35 @@ func TestFDIndexImpliesAgainstOracle(t *testing.T) {
 	}
 }
 
-func TestFDIndexImpliesDisabled(t *testing.T) {
+// TestFDIndexImpliesLive: zeroing dep i's live row answers as the list
+// without FD i, and clearing one attribute A of it answers as the list
+// with X → A taken out of FD i.
+func TestFDIndexImpliesLive(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for caseNo := 0; caseNo < 150; caseNo++ {
 		nAttrs := 1 + r.Intn(40)
 		fds := randomFDs(r, nAttrs, 1+r.Intn(15))
 		ix := NewFDIndex(fds)
-		disabled := make([]bool, len(fds))
-		for i := range fds {
-			disabled[i] = true
-			rest := make([]FD, 0, len(fds)-1)
+		live := ix.liveRows()
+		for i, f := range fds {
+			rest := make([]FD, 0, len(fds))
 			rest = append(rest, fds[:i]...)
 			rest = append(rest, fds[i+1:]...)
-			if got, want := ix.impliesDisabled(fds[i], disabled), Implies(rest, fds[i]); got != want {
-				t.Fatalf("case %d: impliesDisabled(%d)=%v, oracle=%v", caseNo, i, got, want)
+			row := live[i*ix.nWords : (i+1)*ix.nWords]
+			clear(row)
+			if got, want := ix.impliesLive(f, live), Implies(rest, f); got != want {
+				t.Fatalf("case %d: impliesLive(%d) with its row zeroed = %v, oracle=%v", caseNo, i, got, want)
 			}
-			disabled[i] = false
+			copy(row, f.Rhs.trim().words)
+			for _, a := range f.Rhs.Positions() {
+				row[a/64] &^= 1 << (uint(a) % 64)
+				g := FD{Lhs: f.Lhs, Rhs: AttrSet{}.With(a)}
+				others := append(append([]FD(nil), rest...), FD{Lhs: f.Lhs, Rhs: f.Rhs.Without(a)})
+				if got, want := ix.impliesLive(g, live), Implies(others, g); got != want {
+					t.Fatalf("case %d: impliesLive(%d) with %d cleared = %v, oracle=%v", caseNo, i, a, got, want)
+				}
+				row[a/64] |= 1 << (uint(a) % 64)
+			}
 		}
 	}
 }
@@ -327,7 +340,8 @@ func TestFDIndexSharedStress(t *testing.T) {
 
 // FuzzLinClosure cross-checks the indexed closure against the fixpoint
 // oracle on fuzzer-built FD lists: 16-byte chunks of data become (LHS, RHS)
-// 64-bit masks over nAttrs attributes, start is the query set.
+// 64-bit masks over nAttrs attributes, start is the query set. It also
+// checks Minimize against the per-FD reference on the same list.
 func FuzzLinClosure(f *testing.F) {
 	f.Add(uint8(8), uint64(1), []byte{})
 	f.Add(uint8(16), uint64(3),
@@ -370,6 +384,15 @@ func FuzzLinClosure(f *testing.F) {
 		g2 := FD{Lhs: x, Rhs: extra}
 		if got, want := ix.Implies(g2), Implies(fds, g2); got != want {
 			t.Fatalf("Implies diverged: indexed %v, oracle %v", got, want)
+		}
+		// The cover: Minimize over the LHS groups returns the per-FD
+		// cover, and that cover is equivalent and non-redundant.
+		cover := Minimize(fds)
+		if want, _, _ := minimizePerFD(fds); !sameFDs(cover, want) {
+			t.Fatalf("Minimize %v, per-FD reference %v", cover, want)
+		}
+		if !EquivalentCovers(fds, cover) || !IsNonRedundant(cover) {
+			t.Fatalf("Minimize %v is not an equivalent non-redundant cover of %v", cover, fds)
 		}
 	})
 }
