@@ -29,7 +29,7 @@ bench-vet:
 
 # The race run uses -short: the §6 grid sweeps and the stress rounds are
 # trimmed to representative points so the race detector stays fast on
-# small machines (see internal/core/parallel_test.go).
+# small machines (see internal/core/concurrent_test.go).
 race:
 	$(GO) test -race -short ./...
 
@@ -92,13 +92,12 @@ serve-smoke:
 
 # diff-smoke runs the differential cross-check harness on a pinned seed:
 # every redundant decision path (compiled kernel vs recursive oracle,
-# minimumCover vs naive, sequential vs parallel, in-process vs a live
-# xkserve over TCP, verdicts vs searched witnesses, indexed vs fixpoint
-# closure, streaming shredder vs tree evaluator with propagated-FD
-# soundness, zero-copy tokenizer vs encoding/xml adapter token for
-# token) must agree on the smoke grid, time-budgeted so CI cannot
-# hang. Exit 1 means a shrunk disagreement was printed — replay it with
-# the same -seed.
+# minimumCover vs naive, in-process vs a live xkserve over TCP, verdicts
+# vs searched witnesses, indexed vs fixpoint closure, streaming shredder
+# vs tree evaluator with propagated-FD soundness, zero-copy tokenizer vs
+# encoding/xml adapter token for token) must agree on the smoke grid,
+# time-budgeted so CI cannot hang. Exit 1 means a shrunk disagreement
+# was printed — replay it with the same -seed.
 diff-smoke:
 	$(GO) run ./cmd/xkdiff -seed 1 -cases 10 -timeout 5m
 

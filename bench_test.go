@@ -17,11 +17,9 @@ package xkprop_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"xkprop/internal/core"
-	"xkprop/internal/rel"
 	"xkprop/internal/workload"
 )
 
@@ -142,63 +140,6 @@ func BenchmarkSec6ExtremesPropagation(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkMinimumCoverParallel sweeps the §6 workload grid (the union of
-// the Fig 7 series plus the heavy depth-10/fields-500 point) comparing the
-// sequential minimum cover against the worker-pool run sized to
-// GOMAXPROCS. On a multi-core machine the heavy points parallelize across
-// the staged implication queries; the covers are bit-identical by
-// construction (see TestParallelCoversBitIdenticalGrid).
-func BenchmarkMinimumCoverParallel(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	for _, cfg := range workload.Sec6Grid(0) {
-		w := workload.Generate(cfg)
-		name := fmt.Sprintf("fields=%d/depth=%d/keys=%d", cfg.Fields, cfg.Depth, cfg.Keys)
-		b.Run(name+"/seq", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := core.NewEngine(w.Sigma, w.Rule).SetWorkers(1)
-				if cover := e.MinimumCover(); len(cover) == 0 {
-					b.Fatal("empty cover")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("%s/par=%d", name, workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := core.NewEngine(w.Sigma, w.Rule).SetWorkers(workers)
-				if cover := e.MinimumCover(); len(cover) == 0 {
-					b.Fatal("empty cover")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPropagatesAll measures the batch entry point against the
-// equivalent per-FD loop on a mid-size workload: same decider memo, the
-// batch run fans the independent FD checks across the pool.
-func BenchmarkPropagatesAll(b *testing.B) {
-	w := workload.Generate(workload.Config{Fields: 100, Depth: 5, Keys: 20})
-	var fds []rel.FD
-	n := w.Rule.Schema.Len()
-	for i := 0; i < 32; i++ {
-		lhs := w.ProbeTrue.Lhs.With((i * 5) % n)
-		fds = append(fds, rel.NewFD(lhs, rel.AttrSet{}.With((i*11)%n)))
-	}
-	b.Run("loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := core.NewEngine(w.Sigma, w.Rule)
-			for _, fd := range fds {
-				_ = e.Propagates(fd)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("batch=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := core.NewEngine(w.Sigma, w.Rule)
-			_ = e.PropagatesAll(fds)
-		}
-	})
 }
 
 // BenchmarkAblationEngineReuse quantifies the design choice DESIGN.md

@@ -6,7 +6,6 @@
 package cli
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -14,17 +13,6 @@ import (
 
 	"xkprop"
 )
-
-// parallelFlag registers the -parallel flag shared by the tools that run
-// the propagation engine: the worker-pool size passed to
-// Engine.SetWorkers. 0 keeps the engine's defaults (sequential single
-// queries, GOMAXPROCS-wide batch APIs); 1 forces everything sequential;
-// n > 1 fans the cover candidate filters and batch checks across n
-// workers.
-func parallelFlag(fs *flag.FlagSet) *int {
-	return fs.Int("parallel", 0,
-		"engine worker-pool size (0 = default, 1 = sequential, n = n workers)")
-}
 
 // loadKeys reads and parses a key file.
 func loadKeys(path string) ([]xkprop.Key, error) {

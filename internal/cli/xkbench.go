@@ -18,7 +18,7 @@ import (
 func RunXkbench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xkbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "all", "which figure to regenerate: 7a, 7b, 7c, extremes, parallel, all")
+	fig := fs.String("fig", "all", "which figure to regenerate: 7a, 7b, 7c, extremes, all")
 	reps := fs.Int("reps", 3, "repetitions per data point (min time reported)")
 	naiveMax := fs.Int("naive-max", 15, "largest field count for the naive baseline")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -28,7 +28,6 @@ func RunXkbench(args []string, stdout, stderr io.Writer) int {
 	checkJSON := fs.String("check-json", "", "validate a suite JSON report and exit (smoke check)")
 	checkAgainst := fs.String("check-against", "", "re-run the committed report's suite and fail on >25% ns/op regression (same-machine baselines only)")
 	maxFields := fs.Int("max-fields", 100, "cap on grid field counts in -json mode (0 = no cap)")
-	parallel := parallelFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -43,7 +42,7 @@ func RunXkbench(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *checkAgainst != "" {
-		if err := checkBenchAgainst(stdout, *checkAgainst, *maxFields, *parallel); err != nil {
+		if err := checkBenchAgainst(stdout, *checkAgainst, *maxFields); err != nil {
 			fmt.Fprintf(stderr, "xkbench: %v\n", err)
 			return 1
 		}
@@ -112,7 +111,7 @@ func RunXkbench(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *jsonOut != "" {
-		if err := benchJSON(stdout, *jsonOut, *maxFields, *parallel); err != nil {
+		if err := benchJSON(stdout, *jsonOut, *maxFields); err != nil {
 			return fail(stderr, "xkbench", err)
 		}
 		return 0
@@ -127,14 +126,11 @@ func RunXkbench(args []string, stdout, stderr io.Writer) int {
 		benchFig7c(stdout, *reps)
 	case "extremes":
 		benchExtremes(stdout, *reps)
-	case "parallel":
-		benchParallel(stdout, *reps, *parallel)
 	case "all":
 		benchFig7a(stdout, *reps, *naiveMax)
 		benchFig7b(stdout, *reps)
 		benchFig7c(stdout, *reps)
 		benchExtremes(stdout, *reps)
-		benchParallel(stdout, *reps, *parallel)
 	default:
 		fmt.Fprintf(stderr, "xkbench: unknown figure %q\n", *fig)
 		return 2
@@ -232,43 +228,6 @@ func benchExtremes(w io.Writer, reps int) {
 			}
 		})
 		fmt.Fprintf(w, "%8d  %8d  %14s\n", 1000, keys, benchDur(tProp))
-	}
-	fmt.Fprintln(w)
-}
-
-// benchParallel compares sequential minimum-cover runs against the
-// worker-pool runs on the heavier §6 grid points and reports the speedup.
-// workers = 0 uses the engine default (GOMAXPROCS); the covers are checked
-// bit-identical on every point.
-func benchParallel(w io.Writer, reps, workers int) {
-	poolLabel := fmt.Sprintf("workers=%d", workers)
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		poolLabel = fmt.Sprintf("workers=%d (GOMAXPROCS)", workers)
-	}
-	fmt.Fprintf(w, "parallel: minimum cover, sequential vs %s\n", poolLabel)
-	fmt.Fprintf(w, "%8s  %8s  %14s  %14s  %8s\n", "fields", "depth", "sequential", "parallel", "speedup")
-	for _, cfg := range []workload.Config{
-		{Fields: 50, Depth: 5, Keys: 10},
-		{Fields: 100, Depth: 5, Keys: 10},
-		{Fields: 200, Depth: 5, Keys: 10},
-		{Fields: 500, Depth: 5, Keys: 10},
-		{Fields: 500, Depth: 10, Keys: 10},
-	} {
-		wl := workload.Generate(cfg)
-		var seqCover, parCover []rel.FD
-		tSeq := benchMeasure(reps, func() {
-			seqCover = core.NewEngine(wl.Sigma, wl.Rule).SetWorkers(1).MinimumCover()
-		})
-		tPar := benchMeasure(reps, func() {
-			parCover = core.NewEngine(wl.Sigma, wl.Rule).SetWorkers(workers).MinimumCover()
-		})
-		if !rel.EquivalentCovers(seqCover, parCover) {
-			fmt.Fprintln(w, "  WARNING: parallel cover differs from sequential!")
-		}
-		fmt.Fprintf(w, "%8d  %8d  %14s  %14s  %7.2fx\n",
-			cfg.Fields, cfg.Depth, benchDur(tSeq), benchDur(tPar),
-			float64(tSeq)/float64(tPar))
 	}
 	fmt.Fprintln(w)
 }

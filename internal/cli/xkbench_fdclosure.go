@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"xkprop/internal/rel"
@@ -247,10 +249,12 @@ func checkFDClosureReport(path string, rep *fdclosureReport) error {
 const benchRegressTolerance = 1.25
 
 // checkBenchAgainst re-runs the committed report's suite on the current
-// build and compares ns/op point-by-point against the baseline. It is
-// the `make bench-check` entry point. Cross-machine numbers are not
-// comparable — run it on the machine that produced the baseline.
-func checkBenchAgainst(stdout io.Writer, path string, maxFields, workers int) error {
+// build and compares ns/op point-by-point against the baseline. A
+// baseline point the fresh run does not produce is an error, since
+// nothing was compared for it. It is the `make bench-check` entry point.
+// Cross-machine numbers are not comparable — run it on the machine that
+// produced the baseline.
+func checkBenchAgainst(stdout io.Writer, path string, maxFields int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -306,7 +310,7 @@ func checkBenchAgainst(stdout io.Writer, path string, maxFields, workers int) er
 			maxFields = rep.MaxFields // match the baseline's grid
 		}
 		fmt.Fprintf(stdout, "xkbench: re-running pathkernel suite against %s\n", path)
-		freshRep, err := benchPathkernelRun(stdout, maxFields, workers)
+		freshRep, err := benchPathkernelRun(stdout, maxFields)
 		if err != nil {
 			return err
 		}
@@ -317,12 +321,17 @@ func checkBenchAgainst(stdout io.Writer, path string, maxFields, workers int) er
 		return fmt.Errorf("%s: unknown suite %q", path, head.Suite)
 	}
 
-	var regressions []string
-	missing := 0
-	for name, base := range baseline {
+	names := make([]string, 0, len(baseline))
+	for name := range baseline {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var regressions, missing []string
+	for _, name := range names {
+		base := baseline[name]
 		now, ok := fresh[name]
 		if !ok {
-			missing++
+			missing = append(missing, name)
 			continue
 		}
 		if now > base*benchRegressTolerance {
@@ -331,17 +340,23 @@ func checkBenchAgainst(stdout io.Writer, path string, maxFields, workers int) er
 					name, now, base, (now/base-1)*100))
 		}
 	}
-	if missing > 0 {
-		fmt.Fprintf(stdout, "xkbench: note: %d baseline points not produced by the fresh run (grid changed?)\n", missing)
+	compared := len(names) - len(missing)
+	for _, r := range regressions {
+		fmt.Fprintf(stdout, "xkbench: REGRESSION %s\n", r)
+	}
+	var problems []string
+	if len(missing) > 0 {
+		problems = append(problems, fmt.Sprintf("%d baseline points not produced by the fresh run (grid changed?): %s",
+			len(missing), strings.Join(missing, ", ")))
 	}
 	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintf(stdout, "xkbench: REGRESSION %s\n", r)
-		}
-		return fmt.Errorf("%d of %d points regressed more than %.0f%% vs %s",
-			len(regressions), len(baseline), (benchRegressTolerance-1)*100, path)
+		problems = append(problems, fmt.Sprintf("%d of %d compared points regressed more than %.0f%%",
+			len(regressions), compared, (benchRegressTolerance-1)*100))
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("%s: %s", path, strings.Join(problems, "; "))
 	}
 	fmt.Fprintf(stdout, "xkbench: %d points within %.0f%% of %s\n",
-		len(baseline), (benchRegressTolerance-1)*100, path)
+		compared, (benchRegressTolerance-1)*100, path)
 	return nil
 }

@@ -16,27 +16,22 @@ import (
 
 // This file implements xkbench's machine-readable mode: -json writes a
 // BENCH_pathkernel.json trajectory (ns/op, allocs/op, B/op for minimum
-// cover over the §6 grid, sequential and parallel), -check-json validates
+// cover over the §6 grid, one row per grid point), -check-json validates
 // such a file, and -cpuprofile/-memprofile hook runtime/pprof into any
 // run. The numbers come from testing.Benchmark, so iteration counts are
 // calibrated the same way as the go test bench suite.
 
-// benchResult is one (config, mode) measurement.
+// benchResult is one grid point's measurement.
 type benchResult struct {
 	Name        string  `json:"name"`
 	Fields      int     `json:"fields"`
 	Depth       int     `json:"depth"`
 	Keys        int     `json:"keys"`
-	Mode        string  `json:"mode"` // "seq" or "par"
-	Workers     int     `json:"workers"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	CoverSize   int     `json:"cover_size"`
-	// ParMatchesSeq is set on "par" results: the parallel cover rendered
-	// identically to the sequential one (the engine's determinism contract).
-	ParMatchesSeq *bool `json:"par_matches_seq,omitempty"`
 }
 
 // benchReport is the top-level JSON document.
@@ -49,9 +44,9 @@ type benchReport struct {
 }
 
 // benchJSON measures minimum cover over the §6 grid (capped at maxFields)
-// in sequential and parallel mode and writes the report to path.
-func benchJSON(stdout io.Writer, path string, maxFields, workers int) error {
-	rep, err := benchPathkernelRun(stdout, maxFields, workers)
+// and writes the report to path.
+func benchJSON(stdout io.Writer, path string, maxFields int) error {
+	rep, err := benchPathkernelRun(stdout, maxFields)
 	if err != nil {
 		return err
 	}
@@ -65,10 +60,7 @@ func benchJSON(stdout io.Writer, path string, maxFields, workers int) error {
 
 // benchPathkernelRun measures the §6 grid and returns the report
 // (shared between -json and -check-against).
-func benchPathkernelRun(stdout io.Writer, maxFields, workers int) (benchReport, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func benchPathkernelRun(stdout io.Writer, maxFields int) (benchReport, error) {
 	rep := benchReport{
 		Suite:      "pathkernel",
 		GoVersion:  runtime.Version(),
@@ -79,45 +71,23 @@ func benchPathkernelRun(stdout io.Writer, maxFields, workers int) (benchReport, 
 		wl := workload.Generate(workload.Config{
 			Fields: cfg.Fields, Depth: cfg.Depth, Keys: cfg.Keys, Width: cfg.Width,
 		})
-		var seqCover, parCover []rel.FD
-		seq := testing.Benchmark(func(b *testing.B) {
+		var cover []rel.FD
+		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				seqCover = core.NewEngine(wl.Sigma, wl.Rule).SetWorkers(1).MinimumCover()
+				cover = core.NewEngine(wl.Sigma, wl.Rule).MinimumCover()
 			}
 		})
-		par := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				parCover = core.NewEngine(wl.Sigma, wl.Rule).SetWorkers(workers).MinimumCover()
-			}
-		})
-		// Determinism contract: the parallel cover must render identically,
-		// not just be equivalent under implication.
-		same := rel.FormatFDs(wl.Rule.Schema, seqCover) == rel.FormatFDs(wl.Rule.Schema, parCover)
-		name := fmt.Sprintf("MinimumCover/fields=%d/depth=%d/keys=%d", cfg.Fields, cfg.Depth, cfg.Keys)
-		rep.Results = append(rep.Results,
-			benchResult{
-				Name: name + "/seq", Fields: cfg.Fields, Depth: cfg.Depth, Keys: cfg.Keys,
-				Mode: "seq", Workers: 1,
-				Iterations: seq.N, NsPerOp: float64(seq.T.Nanoseconds()) / float64(seq.N),
-				AllocsPerOp: seq.AllocsPerOp(), BytesPerOp: seq.AllocedBytesPerOp(),
-				CoverSize: len(seqCover),
-			},
-			benchResult{
-				Name: name + "/par", Fields: cfg.Fields, Depth: cfg.Depth, Keys: cfg.Keys,
-				Mode: "par", Workers: workers,
-				Iterations: par.N, NsPerOp: float64(par.T.Nanoseconds()) / float64(par.N),
-				AllocsPerOp: par.AllocsPerOp(), BytesPerOp: par.AllocedBytesPerOp(),
-				CoverSize: len(parCover), ParMatchesSeq: &same,
-			})
-		fmt.Fprintf(stdout, "%-40s  %10.0f ns/op  %8d B/op  %6d allocs/op\n",
-			name+"/seq", rep.Results[len(rep.Results)-2].NsPerOp, seq.AllocedBytesPerOp(), seq.AllocsPerOp())
-		fmt.Fprintf(stdout, "%-40s  %10.0f ns/op  %8d B/op  %6d allocs/op\n",
-			name+"/par", rep.Results[len(rep.Results)-1].NsPerOp, par.AllocedBytesPerOp(), par.AllocsPerOp())
-		if !same {
-			fmt.Fprintf(stdout, "  WARNING: parallel cover differs from sequential at %s\n", name)
+		r := benchResult{
+			Name:   fmt.Sprintf("MinimumCover/fields=%d/depth=%d/keys=%d", cfg.Fields, cfg.Depth, cfg.Keys),
+			Fields: cfg.Fields, Depth: cfg.Depth, Keys: cfg.Keys,
+			Iterations: res.N, NsPerOp: float64(res.T.Nanoseconds()) / float64(res.N),
+			AllocsPerOp: res.AllocsPerOp(), BytesPerOp: res.AllocedBytesPerOp(),
+			CoverSize: len(cover),
 		}
+		rep.Results = append(rep.Results, r)
+		fmt.Fprintf(stdout, "%-40s  %10.0f ns/op  %8d B/op  %6d allocs/op\n",
+			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
 	return rep, nil
 }
@@ -208,12 +178,6 @@ func checkBenchJSON(path string) error {
 		}
 		if r.AllocsPerOp < 0 || r.BytesPerOp < 0 {
 			return fmt.Errorf("%s: %s: negative allocation counters", path, r.Name)
-		}
-		if r.Mode != "seq" && r.Mode != "par" {
-			return fmt.Errorf("%s: %s: unknown mode %q", path, r.Name, r.Mode)
-		}
-		if r.ParMatchesSeq != nil && !*r.ParMatchesSeq {
-			return fmt.Errorf("%s: %s: parallel cover differed from sequential", path, r.Name)
 		}
 	}
 	return nil

@@ -33,20 +33,18 @@ func TestXkbenchJSONRoundTrip(t *testing.T) {
 	if rep.Suite != "pathkernel" {
 		t.Fatalf("suite = %q, want pathkernel", rep.Suite)
 	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("got %d results for the fields=10 grid, want 2 (seq+par)", len(rep.Results))
+	if len(rep.Results) != 1 {
+		t.Fatalf("got %d results for the fields=10 grid, want 1", len(rep.Results))
 	}
-	for _, r := range rep.Results {
-		if r.NsPerOp <= 0 || r.Iterations <= 0 {
-			t.Errorf("%s: bad timing %g ns/op over %d iterations", r.Name, r.NsPerOp, r.Iterations)
-		}
-		if r.CoverSize == 0 {
-			t.Errorf("%s: empty cover", r.Name)
-		}
+	r := rep.Results[0]
+	if r.Name != "MinimumCover/fields=10/depth=5/keys=10" {
+		t.Errorf("result name = %q", r.Name)
 	}
-	par := rep.Results[1]
-	if par.Mode != "par" || par.ParMatchesSeq == nil || !*par.ParMatchesSeq {
-		t.Errorf("parallel result must record par_matches_seq=true, got %+v", par)
+	if r.NsPerOp <= 0 || r.Iterations <= 0 {
+		t.Errorf("%s: bad timing %g ns/op over %d iterations", r.Name, r.NsPerOp, r.Iterations)
+	}
+	if r.CoverSize == 0 {
+		t.Errorf("%s: empty cover", r.Name)
 	}
 
 	stdout.Reset()
@@ -66,11 +64,9 @@ func TestXkbenchCheckJSONRejects(t *testing.T) {
 		name, body, want string
 	}{
 		{"malformed", "{", "unexpected end"},
-		{"wrong-suite", `{"suite":"other","results":[{"name":"x","mode":"seq","iterations":1,"ns_per_op":1}]}`, "suite"},
+		{"wrong-suite", `{"suite":"other","results":[{"name":"x","iterations":1,"ns_per_op":1}]}`, "suite"},
 		{"empty", `{"suite":"pathkernel","results":[]}`, "no results"},
-		{"bad-timing", `{"suite":"pathkernel","results":[{"name":"x","mode":"seq","iterations":0,"ns_per_op":0}]}`, "non-positive timing"},
-		{"bad-mode", `{"suite":"pathkernel","results":[{"name":"x","mode":"weird","iterations":1,"ns_per_op":1}]}`, "unknown mode"},
-		{"par-mismatch", `{"suite":"pathkernel","results":[{"name":"x","mode":"par","iterations":1,"ns_per_op":1,"par_matches_seq":false}]}`, "differed"},
+		{"bad-timing", `{"suite":"pathkernel","results":[{"name":"x","iterations":0,"ns_per_op":0}]}`, "non-positive timing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,5 +86,35 @@ func TestXkbenchCheckJSONRejects(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := RunXkbench([]string{"-check-json", filepath.Join(dir, "missing.json")}, &stdout, &stderr); code != 1 {
 		t.Fatalf("missing file: exit code = %d, want 1", code)
+	}
+}
+
+// TestXkbenchCheckAgainst re-runs a one-point pathkernel baseline
+// (max_fields 10): a baseline point the fresh run produces is compared
+// and passes, a point it does not produce fails the check by name.
+func TestXkbenchCheckAgainst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs testing.Benchmark; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		point string
+		code  int
+		want  string
+	}{
+		{"MinimumCover/fields=10/depth=5/keys=10", 0, "1 points within 25%"},
+		{"MinimumCover/no-such-point", 1, "MinimumCover/no-such-point"},
+	} {
+		p := filepath.Join(dir, "baseline.json")
+		body := `{"suite":"pathkernel","max_fields":10,"results":[{"name":"` + tc.point + `","iterations":1,"ns_per_op":1e12}]}`
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := RunXkbench([]string{"-check-against", p}, &stdout, &stderr)
+		if code != tc.code || !strings.Contains(stdout.String()+stderr.String(), tc.want) {
+			t.Errorf("%s: exit %d, want %d with %q\nstdout:\n%s\nstderr:\n%s",
+				tc.point, code, tc.code, tc.want, stdout.String(), stderr.String())
+		}
 	}
 }

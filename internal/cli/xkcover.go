@@ -22,7 +22,6 @@ func RunXkcover(args []string, stdout, stderr io.Writer) int {
 	why := fs.Bool("why", false, "annotate each cover FD with the Σ keys that justify it")
 	derive := fs.String("derive", "", `print an Armstrong derivation of this FD from the cover, e.g. "a, b -> c"`)
 	demo := fs.Bool("demo", false, "use the paper's Example 3.1 universal relation and keys")
-	parallel := parallelFlag(fs)
 	deadline := DeadlineFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -68,7 +67,7 @@ func RunXkcover(args []string, stdout, stderr io.Writer) int {
 		rule.Schema.Name, rule.Schema.Len(), len(sigma))
 	ctx, cancel := deadline.Context()
 	defer cancel()
-	eng := xkprop.NewEngine(sigma, rule).SetWorkers(*parallel)
+	eng := xkprop.NewEngine(sigma, rule)
 	var anns []xkprop.AnnotatedFD
 	if *why {
 		// AnnotatedCover leaves its cover in the engine's cache, where
@@ -92,7 +91,7 @@ func RunXkcover(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *naive {
-		n, err := xkprop.NewEngine(sigma, rule).SetWorkers(*parallel).NaiveCoverCtx(ctx)
+		n, err := xkprop.NewEngine(sigma, rule).NaiveCoverCtx(ctx)
 		if err != nil {
 			return failOrAbort(stderr, "xkcover", err)
 		}

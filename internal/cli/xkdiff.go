@@ -13,8 +13,8 @@ import (
 
 // RunXkdiff runs the differential cross-check harness: seeded workloads
 // through every redundant decision path — compiled kernel vs recursive
-// oracle, minimumCover vs naive, sequential vs parallel, in-process vs a
-// live xkserve over TCP, verdicts vs searched witnesses, and the
+// oracle, minimumCover vs naive, in-process vs a live xkserve over TCP,
+// verdicts vs searched witnesses, indexed vs fixpoint closure, the
 // streaming shredder vs the tree evaluator with propagated-FD soundness
 // checked on every accepted document, and the zero-copy tokenizer vs the
 // encoding/xml adapter token for token — reporting

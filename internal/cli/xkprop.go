@@ -23,7 +23,6 @@ func RunXkprop(args []string, stdout, stderr io.Writer) int {
 	witnessFlag := fs.Bool("witness", false, "on NOT PROPAGATED, search for a counterexample document")
 	explain := fs.Bool("explain", false, "narrate the keyed-ancestor walk step by step")
 	demo := fs.Bool("demo", false, "run the paper's Example 4.2 checks")
-	parallel := parallelFlag(fs)
 	deadline := DeadlineFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -58,7 +57,7 @@ func RunXkprop(args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := deadline.Context()
 	defer cancel()
 	if *explain {
-		exs, err := xkprop.NewEngine(sigma, rule).SetWorkers(*parallel).Explain(ctx, fd)
+		exs, err := xkprop.NewEngine(sigma, rule).Explain(ctx, fd)
 		if err != nil {
 			return failOrAbort(stderr, "xkprop", err)
 		}
@@ -71,7 +70,7 @@ func RunXkprop(args []string, stdout, stderr io.Writer) int {
 		}
 		return code
 	}
-	code := xkpropReportCtx(ctx, stdout, stderr, sigma, rule, fd, *check, *parallel)
+	code := xkpropReportCtx(ctx, stdout, stderr, sigma, rule, fd, *check)
 	if code == 1 && *witnessFlag {
 		doc, vs, ok := xkprop.FindFDCounterexample(sigma, rule, fd, xkprop.WitnessOptions{})
 		if !ok {
@@ -87,12 +86,12 @@ func RunXkprop(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func xkpropReport(stdout io.Writer, sigma []xkprop.Key, rule *xkprop.Rule, fd xkprop.FD, check string, workers int) int {
-	return xkpropReportCtx(nil, stdout, io.Discard, sigma, rule, fd, check, workers)
+func xkpropReport(stdout io.Writer, sigma []xkprop.Key, rule *xkprop.Rule, fd xkprop.FD, check string) int {
+	return xkpropReportCtx(nil, stdout, io.Discard, sigma, rule, fd, check)
 }
 
-func xkpropReportCtx(ctx context.Context, stdout, stderr io.Writer, sigma []xkprop.Key, rule *xkprop.Rule, fd xkprop.FD, check string, workers int) int {
-	e := xkprop.NewEngine(sigma, rule).SetWorkers(workers)
+func xkpropReportCtx(ctx context.Context, stdout, stderr io.Writer, sigma []xkprop.Key, rule *xkprop.Rule, fd xkprop.FD, check string) int {
+	e := xkprop.NewEngine(sigma, rule)
 	var ok bool
 	var err error
 	switch check {
@@ -120,10 +119,10 @@ func xkpropDemo(stdout io.Writer) int {
 	fmt.Fprintln(stdout, "Example 4.2 of the paper:")
 	book := tr.Rule("book")
 	fd1, _ := xkprop.ParseFD(book.Schema, "isbn -> contact")
-	code1 := xkpropReport(stdout, sigma, book, fd1, "propagation", 0)
+	code1 := xkpropReport(stdout, sigma, book, fd1, "propagation")
 	section := tr.Rule("section")
 	fd2, _ := xkprop.ParseFD(section.Schema, "inChapt, number -> name")
-	code2 := xkpropReport(stdout, sigma, section, fd2, "propagation", 0)
+	code2 := xkpropReport(stdout, sigma, section, fd2, "propagation")
 	if code1 == 0 && code2 == 1 {
 		fmt.Fprintln(stdout, "demo results match the paper")
 		return 0

@@ -44,9 +44,9 @@ var designGoldenPoints = []workload.Config{
 // designPipeline renders one schema's design result: the minimum cover in
 // rel.Minimize's output order, the BCNF fragments with their keys, and
 // the DDL generated from them.
-func designPipeline(b *strings.Builder, name string, sigma []xmlkey.Key, rule *transform.Rule, workers int) {
+func designPipeline(b *strings.Builder, name string, sigma []xmlkey.Key, rule *transform.Rule) {
 	sc := rule.Schema
-	cover := NewEngine(sigma, rule).SetWorkers(workers).MinimumCover()
+	cover := NewEngine(sigma, rule).MinimumCover()
 	frags := rel.BCNF(cover, sc.All())
 	fmt.Fprintf(b, "== %s\ncover:\n", name)
 	for _, f := range cover {
@@ -61,34 +61,32 @@ func designPipeline(b *strings.Builder, name string, sigma []xmlkey.Key, rule *t
 }
 
 // TestDesignPipelineGolden pins the design pipeline's output, cover order
-// included, on the §6 points above and on Example 3.1, at workers 1 and
-// 4. Run with -update to rewrite testdata/design.golden.
+// included, on the §6 points above and on Example 3.1. Run with -update
+// to rewrite testdata/design.golden.
 func TestDesignPipelineGolden(t *testing.T) {
 	path := filepath.Join("testdata", "design.golden")
-	for _, workers := range []int{1, 4} {
-		var b strings.Builder
-		designPipeline(&b, "example3.1", paperdata.Keys(), paperdata.UniversalRule(), workers)
-		for _, cfg := range designGoldenPoints {
-			w := workload.Generate(cfg)
-			name := fmt.Sprintf("f%d_d%d_k%d_w%d", cfg.Fields, cfg.Depth, cfg.Keys, max(cfg.Width, 1))
-			designPipeline(&b, name, w.Sigma, w.Rule, workers)
-		}
-		got := b.String()
-		if *update && workers == 1 {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
+	var b strings.Builder
+	designPipeline(&b, "example3.1", paperdata.Keys(), paperdata.UniversalRule())
+	for _, cfg := range designGoldenPoints {
+		w := workload.Generate(cfg)
+		name := fmt.Sprintf("f%d_d%d_k%d_w%d", cfg.Fields, cfg.Depth, cfg.Keys, max(cfg.Width, 1))
+		designPipeline(&b, name, w.Sigma, w.Rule)
+	}
+	got := b.String()
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if got != string(want) {
-			t.Errorf("workers=%d: design pipeline output differs from %s:\n%s", workers, path, firstDiff(got, string(want)))
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
 		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("design pipeline output differs from %s:\n%s", path, firstDiff(got, string(want)))
 	}
 }
 

@@ -5,11 +5,12 @@ package core
 // exhaustion mid-cover, and the consistency guarantee that matters after
 // any abort — the engine's shared caches never serve a wrong answer to a
 // later, uncancelled call. Run with -race: the abort paths cross the
-// sharded memo and the parallel worker pool.
+// decider's sharded memo, which concurrent callers of one engine share.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -30,16 +31,16 @@ func coversEqual(a, b []rel.FD) bool {
 }
 
 // TestMinimumCoverCtxCountdownAbort cancels MinimumCoverCtx at the k-th
-// cancellation check for a sweep of k, on a parallel engine. Every abort
-// must yield (nil, context.Canceled); afterwards the same engine must
-// still produce the exact cover a fresh engine computes — an aborted run
-// may leave partial memo state but never wrong state.
+// cancellation check for a sweep of k. Every abort must yield
+// (nil, context.Canceled); afterwards the same engine must still produce
+// the exact cover a fresh engine computes — an aborted run may leave
+// partial memo state but never wrong state.
 func TestMinimumCoverCtxCountdownAbort(t *testing.T) {
 	w := faultWorkload()
 	want := NewEngine(w.Sigma, w.Rule).MinimumCover()
 
 	for _, k := range []int64{1, 2, 3, 5, 8, 13, 50, 200} {
-		e := NewEngine(w.Sigma, w.Rule).SetWorkers(4)
+		e := NewEngine(w.Sigma, w.Rule)
 		ctx := faultinject.CountdownContext(context.Background(), k)
 		cover, err := e.MinimumCoverCtx(ctx)
 		if err == nil {
@@ -112,10 +113,10 @@ func TestExplainCountdownAbort(t *testing.T) {
 }
 
 // TestAnnotatedCoverCountdownAbort cancels AnnotatedCover at the k-th
-// cancellation check for a sweep of k, on a parallel engine. Each abort
-// must yield (nil, context.Canceled), a completed run must equal a live
-// run, and a live call on the aborted engine afterwards must too: an
-// aborted record leaves nothing behind.
+// cancellation check for a sweep of k. Each abort must yield
+// (nil, context.Canceled), a completed run must equal a live run, and a
+// live call on the aborted engine afterwards must too: an aborted record
+// leaves nothing behind.
 func TestAnnotatedCoverCountdownAbort(t *testing.T) {
 	w := faultWorkload()
 	render := func(anns []AnnotatedFD) string {
@@ -132,7 +133,7 @@ func TestAnnotatedCoverCountdownAbort(t *testing.T) {
 	want := render(live)
 	aborts, completed := 0, 0
 	for _, k := range []int64{1, 2, 3, 5, 8, 13, 50, 100, 150, 190, 400, 5000} {
-		e := NewEngine(w.Sigma, w.Rule).SetWorkers(4)
+		e := NewEngine(w.Sigma, w.Rule)
 		anns, err := e.AnnotatedCover(faultinject.CountdownContext(context.Background(), k))
 		if err == nil {
 			completed++
@@ -155,39 +156,97 @@ func TestAnnotatedCoverCountdownAbort(t *testing.T) {
 	}
 }
 
-// TestPropagatesAllCtxAbort cancels the batch API mid-fan-out and checks
-// the all-or-nothing contract, then that a shared engine keeps answering
-// correctly under -race.
-func TestPropagatesAllCtxAbort(t *testing.T) {
+// TestSharedEngineCountdownAbort runs countdown aborts and live calls side
+// by side on one engine. For each of MinimumCoverCtx, AnnotatedCover and
+// PropagatesCtx, one goroutine sweeps CountdownContext over k, with a
+// live call after each step, while another makes only live calls. An
+// aborted call must return a nil cover or a false verdict with
+// context.Canceled; every live call must render exactly what a fresh
+// sequential engine does. Run with -race: the calls meet in the decider's
+// sharded memo and in the engine's cover cache.
+func TestSharedEngineCountdownAbort(t *testing.T) {
 	w := faultWorkload()
-	fds := []rel.FD{w.ProbeTrue, w.ProbeFalse, w.ProbeTrue, w.ProbeFalse}
-	e := NewEngine(w.Sigma, w.Rule).SetWorkers(4)
-
-	wantOut := e.PropagatesAll(fds)
-
-	ctx := faultinject.CountdownContext(context.Background(), 1)
-	out, err := e.PropagatesAllCtx(ctx, fds)
-	if err == nil {
-		t.Fatal("countdown at k=1 must cancel the batch")
+	sc := w.Rule.Schema
+	fds := []rel.FD{w.ProbeTrue, w.ProbeFalse}
+	// Each call renders its result; a nil cover and a false verdict list
+	// render as "".
+	calls := []struct {
+		name string
+		run  func(e *Engine, ctx context.Context) (string, error)
+		want string
+	}{
+		{name: "MinimumCoverCtx", run: func(e *Engine, ctx context.Context) (string, error) {
+			cover, err := e.MinimumCoverCtx(ctx)
+			if cover == nil {
+				return "", err
+			}
+			return rel.FormatFDs(sc, cover), err
+		}},
+		{name: "AnnotatedCover", run: func(e *Engine, ctx context.Context) (string, error) {
+			anns, err := e.AnnotatedCover(ctx)
+			var b strings.Builder
+			for _, a := range anns {
+				b.WriteString(a.Format(sc))
+			}
+			return b.String(), err
+		}},
+		{name: "PropagatesCtx", run: func(e *Engine, ctx context.Context) (string, error) {
+			var b strings.Builder
+			for _, fd := range fds {
+				ok, err := e.PropagatesCtx(ctx, fd)
+				if err != nil {
+					if ok {
+						return "true", err // an aborted check must answer false
+					}
+					return "", err
+				}
+				fmt.Fprintf(&b, "%s: %v\n", fd.Format(sc), ok)
+			}
+			return b.String(), nil
+		}},
 	}
-	if out != nil {
-		t.Fatal("aborted PropagatesAllCtx returned a partial verdict slice")
+	for i := range calls {
+		c := &calls[i]
+		var err error
+		if c.want, err = c.run(NewEngine(w.Sigma, w.Rule), context.Background()); err != nil || c.want == "" {
+			t.Fatalf("%s on a fresh engine = %q, err %v", c.name, c.want, err)
+		}
 	}
 
+	shared := NewEngine(w.Sigma, w.Rule)
+	ks := []int64{1, 2, 3, 5, 8, 13, 50, 200, 1000}
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
+	for _, c := range calls {
+		live := func(what string) {
+			if got, err := c.run(shared, context.Background()); err != nil || got != c.want {
+				t.Errorf("%s: %s: err %v, output differs:\n%s", c.name, what, err, firstDiff(got, c.want))
+			}
+		}
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			got, err := e.PropagatesAllCtx(context.Background(), fds)
-			if err != nil {
-				t.Errorf("post-abort batch failed: %v", err)
-				return
-			}
-			for i := range got {
-				if got[i] != wantOut[i] {
-					t.Errorf("post-abort verdict %d = %v, want %v", i, got[i], wantOut[i])
+			aborts := 0
+			for _, k := range ks {
+				got, err := c.run(shared, faultinject.CountdownContext(context.Background(), k))
+				switch {
+				case err == nil && got != c.want:
+					t.Errorf("%s: k=%d: uncancelled output differs:\n%s", c.name, k, firstDiff(got, c.want))
+				case err != nil:
+					aborts++
+					if !errors.Is(err, context.Canceled) || got != "" {
+						t.Errorf("%s: k=%d: aborted call = (%q, %v), want (\"\", context.Canceled)", c.name, k, got, err)
+					}
 				}
+				live(fmt.Sprintf("live call after k=%d", k))
+			}
+			if aborts == 0 {
+				t.Errorf("%s: no k in %v aborted a call", c.name, ks)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for range ks {
+				live("live call")
 			}
 		}()
 	}
@@ -254,7 +313,7 @@ func TestNaiveCoverCtxFieldCap(t *testing.T) {
 // inside the candidate enumeration.
 func TestNaiveCoverCtxAbortMidEnumeration(t *testing.T) {
 	w := workload.Generate(workload.Config{Fields: 12, Depth: 3, Keys: 4})
-	e := NewEngine(w.Sigma, w.Rule).SetWorkers(2)
+	e := NewEngine(w.Sigma, w.Rule)
 	in := faultinject.New(1234)
 	k := in.Roll("naive-abort", 5000)
 	ctx := faultinject.CountdownContext(context.Background(), k)

@@ -38,11 +38,7 @@ import (
 // algorithm runs in polynomial time, matching §6's measurements.
 
 // MinimumCover implements Algorithm minimumCover: a minimum cover of all
-// FDs on the rule's (universal) relation propagated from Σ. With
-// SetWorkers(n > 1) the implication queries behind the candidate search
-// fan out across the engine's worker pool; the result is bit-identical to
-// the sequential run because candidates are merged in the sequential
-// loop's order regardless of which worker decided them.
+// FDs on the rule's (universal) relation propagated from Σ.
 func (e *Engine) MinimumCover() []rel.FD {
 	cands, _ := e.coverCandidates(nil, nil)
 	return rel.Minimize(cands)
@@ -60,11 +56,11 @@ func (e *Engine) MinimumCoverCtx(ctx context.Context) ([]rel.FD, error) {
 	return rel.Minimize(cands), nil
 }
 
-// keyStep stages one candidate extension of a variable's transitive keys
-// from keyed ancestor c (an index into the engine's path table): either
+// keyStep is one candidate extension of a variable's transitive keys from
+// keyed ancestor c (an index into the engine's path table): either
 // uniqueness inheritance (list < 0) or a relative key over the attribute
 // list KeyAttrLists()[list], whose attributes populate the fields set.
-// The decision (an implication query) is filled in by the worker pool.
+// ok records the decision (an implication query).
 type keyStep struct {
 	c      int
 	list   int
@@ -72,8 +68,8 @@ type keyStep struct {
 	ok     bool
 }
 
-// emitStep stages one K → A emission candidate: field index fr, populated
-// by variable u, under keyed node v; ok records whether u is unique under v.
+// emitStep is one K → A emission candidate: field index fr, populated by
+// variable u, under keyed node v; ok records whether u is unique under v.
 type emitStep struct {
 	v, u, fr int
 	ok       bool
@@ -87,7 +83,6 @@ func (e *Engine) coverCandidates(ctx context.Context, rec *provenance) ([]rel.FD
 	rule := e.rule
 	pt := &e.paths
 	lists := e.dec.KeyAttrLists()
-	workers := e.queryWorkers()
 
 	keysOf := make([][]rel.AttrSet, len(pt.vars))
 	keysOf[0] = []rel.AttrSet{{}}
@@ -100,66 +95,44 @@ func (e *Engine) coverCandidates(ctx context.Context, rec *provenance) ([]rel.FD
 		// Relative keys are drawn from Σ (the paper's search reduction):
 		// the attribute lists whose attributes all populate fields at v.
 		// σs with equal lists ask the same query and add the same fields,
-		// so each distinct list is staged once, at its first σ's position.
+		// so each distinct list is tried once, at its first σ's position.
 		rels = rels[:0]
 		for li, l := range lists {
 			if fields, ok := e.fieldsOf(v, l.Names()); ok {
 				rels = append(rels, keyStep{list: li, fields: fields})
 			}
 		}
-		// Stage the candidate steps for every keyed ancestor of v (nearest
-		// last; the root is always first). Decisions depend only on (Σ,
-		// rule), not on the keys merged so far, so they can run in any
-		// order — only the merge below is order-sensitive.
+		// Try every keyed ancestor c of v (the root first, nearest last):
+		// uniqueness inheritance, then each relative key. A decided step
+		// extends c's keys into v's at once, so the key order is the
+		// order of the steps.
 		steps = steps[:0]
+		vKeys.reset()
 		for _, c := range vp.anc[:len(vp.anc)-1] {
 			if len(keysOf[c]) == 0 {
 				continue
 			}
-			// Uniqueness inheritance: v unique under c keeps c's keys.
-			steps = append(steps, keyStep{c: c, list: -1})
-			for _, r := range rels {
-				r.c = c
-				steps = append(steps, r)
-			}
-		}
-		err := runIndexedErr(len(steps), workers, func(i int) error {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return err
+			for i := -1; i < len(rels); i++ {
+				st := keyStep{c: c, list: -1}
+				if i >= 0 {
+					st = rels[i]
+					st.c = c
 				}
-			}
-			st := &steps[i]
-			ctxID, tgtID := pt.vars[st.c].up[0], pt.between(st.c, v)
-			if st.list < 0 {
-				ok, err := e.dec.ImpliesIDCtx(ctx, ctxID, tgtID, xmlkey.AttrList{})
-				st.ok = ok
-				return err
-			}
-			l := lists[st.list]
-			keyed, err := e.dec.ImpliesIDCtx(ctx, ctxID, tgtID, l)
-			if err != nil {
-				return err
-			}
-			// Null safety: the key attributes must exist on v's nodes.
-			st.ok = keyed && e.dec.ExistsAllID(vp.up[0], l.Names())
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Merge in staging order — exactly the sequential algorithm's
-		// order, so parallel runs produce the same key sets.
-		vKeys.reset()
-		for _, st := range steps {
-			if !st.ok {
-				continue
-			}
-			for _, k := range keysOf[st.c] {
-				if st.list < 0 {
-					vKeys.add(k)
-				} else {
-					vKeys.add(k.Union(st.fields))
+				if err := e.decideKeyStep(ctx, v, &st); err != nil {
+					return nil, err
+				}
+				if rec != nil {
+					steps = append(steps, st)
+				}
+				if !st.ok {
+					continue
+				}
+				for _, k := range keysOf[c] {
+					if st.list < 0 {
+						vKeys.add(k) // v unique under c keeps c's keys
+					} else {
+						vKeys.add(k.Union(st.fields))
+					}
 				}
 			}
 		}
@@ -176,53 +149,69 @@ func (e *Engine) coverCandidates(ctx context.Context, rec *provenance) ([]rel.FD
 
 	// Emit K → A for each keyed node v, each transitive key K of v, and
 	// each field A populated by a variable u unique under v whose LHS
-	// existence conditions hold (they do by construction of K). The
-	// uniqueness queries fan out; emission order again follows staging
-	// order. An attribute variable keys nothing below itself: the decider
-	// refutes every goal whose context ends in an attribute step.
-	var emits []emitStep
+	// existence conditions hold (they do by construction of K). An
+	// attribute variable keys nothing below itself: the decider refutes
+	// every goal whose context ends in an attribute step.
+	var out []rel.FD
 	for _, v := range order {
 		if pt.vars[v].attr {
 			continue
 		}
 		for i, fr := range rule.Fields {
 			u := pt.index[fr.Var]
-			if pt.under(u, v) {
-				emits = append(emits, emitStep{v: v, u: u, fr: i})
+			if !pt.under(u, v) {
+				continue
 			}
-		}
-	}
-	err := runIndexedErr(len(emits), workers, func(i int) error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
+			if ctx != nil {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 			}
-		}
-		st := &emits[i]
-		u, err := e.dec.ImpliesIDCtx(ctx, pt.vars[st.v].up[0], pt.between(st.v, st.u), xmlkey.AttrList{})
-		st.ok = u
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		rec.emits = emits
-	}
-	var out []rel.FD
-	for _, st := range emits {
-		if !st.ok {
-			continue
-		}
-		a := rule.Schema.Index(rule.Fields[st.fr].Field)
-		for _, k := range keysOf[st.v] {
-			fd := rel.NewFD(k, rel.AttrSet{}.With(a))
-			if !fd.IsTrivial() {
-				out = append(out, fd)
+			unique, err := e.dec.ImpliesIDCtx(ctx, pt.vars[v].up[0], pt.between(v, u), xmlkey.AttrList{})
+			if err != nil {
+				return nil, err
+			}
+			if rec != nil {
+				rec.emits = append(rec.emits, emitStep{v: v, u: u, fr: i, ok: unique})
+			}
+			if !unique {
+				continue
+			}
+			a := rule.Schema.Index(fr.Field)
+			for _, k := range keysOf[v] {
+				fd := rel.NewFD(k, rel.AttrSet{}.With(a))
+				if !fd.IsTrivial() {
+					out = append(out, fd)
+				}
 			}
 		}
 	}
 	return out, nil
+}
+
+// decideKeyStep decides st for variable v: whether v is unique under st.c
+// (list < 0), or keyed under st.c by st's attribute list, whose
+// attributes must then exist on v's nodes (null safety).
+func (e *Engine) decideKeyStep(ctx context.Context, v int, st *keyStep) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	pt := &e.paths
+	ctxID, tgtID := pt.vars[st.c].up[0], pt.between(st.c, v)
+	if st.list < 0 {
+		ok, err := e.dec.ImpliesIDCtx(ctx, ctxID, tgtID, xmlkey.AttrList{})
+		st.ok = ok
+		return err
+	}
+	l := e.dec.KeyAttrLists()[st.list]
+	keyed, err := e.dec.ImpliesIDCtx(ctx, ctxID, tgtID, l)
+	if err != nil {
+		return err
+	}
+	st.ok = keyed && e.dec.ExistsAllID(pt.vars[v].up[0], l.Names())
+	return nil
 }
 
 // keySet collects a variable's transitive keys, each once, in the order

@@ -14,11 +14,6 @@ import (
 // motivates minimumCover: its running time grows ~two-hundred-fold for
 // every five extra fields (Fig 7a).
 //
-// With SetWorkers(n > 1) the candidate filter fans the propagation checks
-// across the worker pool in fixed-size chunks; accepted candidates are
-// collected in enumeration order, so the result is bit-identical to the
-// sequential run (and the candidate space is never materialized at once).
-//
 // NaiveCover panics on schemas over budget.DefaultEnumFields fields; use
 // NaiveCoverCtx with budget.Budget.MaxEnumFields to raise (or lower) the
 // cap and get a typed error instead.
@@ -55,14 +50,19 @@ func (e *Engine) NaiveCoverCtx(ctx context.Context) ([]rel.FD, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Candidate idx encodes (a, mask): RHS attribute a = idx / perRhs and
-	// LHS subset mask = idx % perRhs over the other n-1 fields, matching
-	// the nested loops of the sequential formulation.
+	// Candidate idx is X → a with a = idx / perRhs and X the subset
+	// mask = idx % perRhs of the other n-1 fields. Candidates are built
+	// one at a time and kept only if accepted, so the candidate space is
+	// never materialized.
 	perRhs := 1 << uint(n-1)
-	total := n * perRhs
-	candidate := func(idx int) rel.FD {
-		a := idx / perRhs
-		mask := idx % perRhs
+	var found []rel.FD
+	for idx := 0; idx < n*perRhs; idx++ {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		a, mask := idx/perRhs, idx%perRhs
 		var lhs rel.AttrSet
 		for b := 0; b < n-1; b++ {
 			if mask&(1<<uint(b)) != 0 {
@@ -73,32 +73,13 @@ func (e *Engine) NaiveCoverCtx(ctx context.Context) ([]rel.FD, error) {
 				lhs = lhs.With(pos)
 			}
 		}
-		return rel.NewFD(lhs, rel.AttrSet{}.With(a))
-	}
-
-	const chunk = 1 << 14
-	workers := e.queryWorkers()
-	var found []rel.FD
-	buf := make([]bool, min(chunk, total))
-	for base := 0; base < total; base += chunk {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		m := min(chunk, total-base)
-		err := runIndexedErr(m, workers, func(i int) error {
-			ok, err := e.propagates(ctx, candidate(base+i))
-			buf[i] = ok
-			return err
-		})
+		fd := rel.NewFD(lhs, rel.AttrSet{}.With(a))
+		ok, err := e.propagates(ctx, fd)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < m; i++ {
-			if buf[i] {
-				found = append(found, candidate(base+i))
-			}
+		if ok {
+			found = append(found, fd)
 		}
 	}
 	return rel.Minimize(found), nil

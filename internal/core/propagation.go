@@ -30,17 +30,10 @@ import (
 // An Engine is safe for concurrent use: the decider shares decided
 // sub-goals across goroutines, the path table is immutable once built,
 // and the lazily computed cover behind GPropagates is built exactly once.
-// SetWorkers configures the worker pool used by the batch entry points
-// (PropagatesAll) and by the candidate filters inside MinimumCover and
-// NaiveCover; it must be called before the engine is shared.
+// Each call runs on its caller's goroutine.
 type Engine struct {
 	dec  *xmlkey.Decider
 	rule *transform.Rule
-
-	// workers sizes the worker pool of the parallel entry points:
-	// 0 = default (sequential for the single-query algorithms,
-	// GOMAXPROCS for the batch API), n >= 1 = exactly n workers.
-	workers int
 
 	// paths is the rule's table tree with its paths interned in the
 	// decider's path universe, built once by NewEngineWithDecider.

@@ -85,9 +85,9 @@ func smallFDs(sc *rel.Schema, maxLHS int) []rel.FD {
 
 // walkRecord renders one case: the annotated minimum cover, then for each
 // FD the GminimumCover verdict and Algorithm propagation's narrative.
-func walkRecord(t *testing.T, b *strings.Builder, c walkCase, workers int) {
+func walkRecord(t *testing.T, b *strings.Builder, c walkCase) {
 	sc := c.rule.Schema
-	e := NewEngine(c.sigma, c.rule).SetWorkers(workers)
+	e := NewEngine(c.sigma, c.rule)
 	fmt.Fprintf(b, "== %s\nprovenance:\n", c.name)
 	for _, a := range annotated(t, e) {
 		b.WriteString(a.Format(sc))
@@ -106,28 +106,25 @@ func walkRecord(t *testing.T, b *strings.Builder, c walkCase, workers int) {
 
 // TestWalkGolden pins the recorded runs of Algorithm propagation and
 // minimumCover: AnnotatedCover's provenance, Explain's narratives and
-// GPropagates' verdicts on the cases of walkCases, at workers 1 and 4.
-// Run with -update to rewrite testdata/walk.golden.
+// GPropagates' verdicts on the cases of walkCases. Run with -update to
+// rewrite testdata/walk.golden.
 func TestWalkGolden(t *testing.T) {
 	path := filepath.Join("testdata", "walk.golden")
-	cases := walkCases()
-	for _, workers := range []int{1, 4} {
-		var b strings.Builder
-		for _, c := range cases {
-			walkRecord(t, &b, c, workers)
-		}
-		got := b.String()
-		if *update && workers == 1 {
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
+	var b strings.Builder
+	for _, c := range walkCases() {
+		walkRecord(t, &b, c)
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got != string(want) {
-			t.Errorf("workers=%d: output differs from %s:\n%s", workers, path, firstDiff(got, string(want)))
-		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s:\n%s", path, firstDiff(got, string(want)))
 	}
 }

@@ -7,8 +7,6 @@
 //	              against the retained recursive oracle (xmlkey.OracleImpliesCT);
 //	cover       — Algorithm minimumCover against the exponential Algorithm
 //	              naive on schemas small enough to enumerate;
-//	parallel    — sequential engines against multi-worker engines, which
-//	              promise bit-identical results;
 //	server      — in-process engine verdicts against a live xkserve
 //	              instance driven over real TCP (testing the wire round
 //	              trip: Key.String/Parse, Rule.DSL/ParseString, FD
@@ -53,7 +51,7 @@ import (
 )
 
 // LaneNames lists the lanes in their canonical (report) order.
-var LaneNames = []string{"implication", "cover", "parallel", "server", "witness", "closure", "shred", "tokenizer"}
+var LaneNames = []string{"implication", "cover", "server", "witness", "closure", "shred", "tokenizer"}
 
 // Config tunes one harness run.
 type Config struct {
@@ -64,8 +62,9 @@ type Config struct {
 	// Lanes selects a subset of LaneNames; nil/empty = all. A lane's case
 	// stream depends only on (Seed, Cases), never on which other lanes run.
 	Lanes []string
-	// Grid is the deterministic workload grid the cover/parallel/server
-	// lanes sweep in addition to their random cases; nil = DefaultGrid.
+	// Grid is the deterministic workload grid the cover, server, shred
+	// and tokenizer lanes sweep in addition to their random cases;
+	// nil = DefaultGrid.
 	Grid []workload.Config
 	// MaxShrinkSteps bounds the re-checks each shrink spends (default 400).
 	MaxShrinkSteps int
@@ -171,9 +170,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		if !laneSelected(cfg.Lanes, name) {
 			continue
 		}
-		// Per-lane generator: seeded by (Seed, lane index), so a lane's
+		// Per-lane generator: seeded by (Seed, lane slot), so a lane's
 		// case stream is identical whether it runs alone or with others.
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1_000_003))
+		// A lane's slot is its index, except that slot 2 belonged to a
+		// removed lane and stays unused: the lanes after it keep the case
+		// streams their seeds have always replayed.
+		slot := int64(i)
+		if i >= 2 {
+			slot++
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed + slot*1_000_003))
 		var lr LaneReport
 		var err error
 		switch name {
@@ -181,8 +187,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			lr, err = h.laneImplication(ctx, rng)
 		case "cover":
 			lr, err = h.laneCover(ctx, rng)
-		case "parallel":
-			lr, err = h.laneParallel(ctx, rng)
 		case "server":
 			lr, err = h.laneServer(ctx, rng)
 		case "witness":

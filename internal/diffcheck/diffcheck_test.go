@@ -9,7 +9,7 @@ import (
 )
 
 // smokeConfig is the test grid: small enough to run in every `go test`,
-// big enough that all five lanes do real work.
+// big enough that every lane does real work.
 func smokeConfig() Config {
 	return Config{Seed: 1, Cases: 8}
 }

@@ -132,107 +132,6 @@ func coversAgree(ctx context.Context, c coverCase) (bool, error) {
 	return rel.EquivalentCovers(min, naive), nil
 }
 
-// laneParallel cross-checks sequential against multi-worker engines:
-// PropagatesAll and MinimumCover promise bit-identical results
-// regardless of worker count.
-func (h *harness) laneParallel(ctx context.Context, rng *rand.Rand) (LaneReport, error) {
-	const parWorkers = 4
-	lr := LaneReport{Lane: "parallel"}
-	for _, c := range h.coverCases(rng, h.cfg.Cases) {
-		if err := checkCtx(ctx); err != nil {
-			return lr, err
-		}
-		fds := []rel.FD{}
-		for i := 0; i < 6; i++ {
-			fds = append(fds, randFD(rng, c.rule.Schema))
-		}
-		seq := core.NewEngine(c.sigma, c.rule).SetWorkers(1)
-		par := core.NewEngine(c.sigma, c.rule).SetWorkers(parWorkers)
-		sres, err := seq.PropagatesAllCtx(ctx, fds)
-		if err != nil {
-			return lr, err
-		}
-		pres, err := par.PropagatesAllCtx(ctx, fds)
-		if err != nil {
-			return lr, err
-		}
-		lr.Cases++
-		h.countCase(lr.Lane)
-		for i := range fds {
-			if sres[i] == pres[i] {
-				continue
-			}
-			fc := fdCase{sigma: c.sigma, rule: c.rule, fd: fds[i]}
-			bad := func(n fdCase) bool {
-				s, err1 := core.NewEngine(n.sigma, n.rule).SetWorkers(1).PropagatesCtx(ctx, n.fd)
-				p, err2 := core.NewEngine(n.sigma, n.rule).SetWorkers(parWorkers).PropagatesCtx(ctx, n.fd)
-				return err1 == nil && err2 == nil && s != p
-			}
-			fc, steps := shrinkFDCase(fc, bad, h.cfg.MaxShrinkSteps)
-			h.cfg.Metrics.Counter("diff.shrink_steps").Add(int64(steps))
-			s, _ := core.NewEngine(fc.sigma, fc.rule).SetWorkers(1).PropagatesCtx(ctx, fc.fd)
-			lr.Disagreements = append(lr.Disagreements, Disagreement{
-				Lane:      lr.Lane,
-				Keys:      keyStrings(fc.sigma),
-				Transform: fc.rule.DSL(),
-				FD:        fc.fd.Format(fc.rule.Schema),
-				Got:       fmt.Sprintf("workers=%d: propagated=%v", parWorkers, !s),
-				Want:      fmt.Sprintf("workers=1: propagated=%v", s),
-			})
-			h.countDisagreement()
-		}
-		scover, err := seq.MinimumCoverCtx(ctx)
-		if err != nil {
-			return lr, err
-		}
-		pcover, err := par.MinimumCoverCtx(ctx)
-		if err != nil {
-			return lr, err
-		}
-		if coversIdentical(scover, pcover) {
-			continue
-		}
-		bad := func(n coverCase) bool {
-			s, err1 := core.NewEngine(n.sigma, n.rule).SetWorkers(1).MinimumCoverCtx(ctx)
-			p, err2 := core.NewEngine(n.sigma, n.rule).SetWorkers(parWorkers).MinimumCoverCtx(ctx)
-			return err1 == nil && err2 == nil && !coversIdentical(s, p)
-		}
-		cc, steps := shrinkCoverCase(coverCase{sigma: c.sigma, rule: c.rule}, bad, h.cfg.MaxShrinkSteps)
-		h.cfg.Metrics.Counter("diff.shrink_steps").Add(int64(steps))
-		d := Disagreement{
-			Lane:      lr.Lane,
-			Keys:      keyStrings(cc.sigma),
-			Transform: cc.rule.DSL(),
-			Detail:    "MinimumCover not bit-identical across worker counts",
-		}
-		eng1 := core.NewEngine(cc.sigma, cc.rule).SetWorkers(1)
-		engN := core.NewEngine(cc.sigma, cc.rule).SetWorkers(parWorkers)
-		if s, err := eng1.MinimumCoverCtx(ctx); err == nil {
-			d.Want = "workers=1: " + strings.Join(eng1.CoverAsStrings(s), "; ")
-		}
-		if p, err := engN.MinimumCoverCtx(ctx); err == nil {
-			d.Got = fmt.Sprintf("workers=%d: %s", parWorkers, strings.Join(engN.CoverAsStrings(p), "; "))
-		}
-		lr.Disagreements = append(lr.Disagreements, d)
-		h.countDisagreement()
-	}
-	return lr, nil
-}
-
-// coversIdentical is the parallel lane's bit-identical comparison: same
-// FDs, same order — stricter than equivalence.
-func coversIdentical(a, b []rel.FD) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Lhs.Equal(b[i].Lhs) || !a[i].Rhs.Equal(b[i].Rhs) {
-			return false
-		}
-	}
-	return true
-}
-
 // laneWitness probes propagation verdicts against model-level evidence: a
 // positive verdict must survive a randomized search for a Σ-conforming
 // document whose instance violates ψ (Algorithm propagation is sound, so

@@ -178,7 +178,7 @@ func (c fdCase) withSigmaKey(i int, k xmlkey.Key) fdCase {
 	return fdCase{sigma: sigma, rule: c.rule, fd: c.fd}
 }
 
-// coverCase is an FD-free propagation case (cover and parallel lanes).
+// coverCase is an FD-free propagation case (cover and server lanes).
 type coverCase struct {
 	sigma []xmlkey.Key
 	rule  *transform.Rule

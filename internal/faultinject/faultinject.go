@@ -156,8 +156,9 @@ type countdownCtx struct {
 
 // CountdownContext returns a context that reports context.Canceled on the
 // k-th cancellation check (k >= 1; each Err or Done call counts). Checks
-// by concurrent goroutines all draw from the same countdown, so with a
-// worker pool the k-th check overall trips it, wherever it lands.
+// by concurrent goroutines all draw from the same countdown, so when
+// several calls share the context the k-th check overall trips it,
+// wherever it lands.
 //
 // Parent cancellation wins over the countdown: if the parent is cancelled
 // mid-countdown, Err reports the parent's error (which may be
