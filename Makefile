@@ -50,37 +50,38 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTokenizerParity -fuzztime=$(FUZZTIME) ./internal/xmltok/
 
 # bench runs the testing.B suite with allocation counters and then
-# regenerates both machine-readable trajectories: the minimum-cover §6
-# grid (xkbench -json) and the FD-closure micro-grid (-suite fdclosure).
+# regenerates all four xkbench reports: the minimum-cover §6 grid
+# (pathkernel), the FD-closure micro-grid (fdclosure), the streaming
+# shredding grid (shred) and the tokenizer corpus (tokenizer).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(MAKE) bench-json
-	$(MAKE) bench-fdclosure
+	$(MAKE) bench-json bench-fdclosure bench-shred bench-tok
 
+# The bench-* targets run at GOMAXPROCS=1, the setting every committed
+# report records; -json applies the suite's gate table (for the
+# tokenizer: decoder parity and zero-alloc steady state) and refuses to
+# write a report that fails it.
 bench-json:
-	$(GO) run ./cmd/xkbench -json $(BENCH_JSON)
+	GOMAXPROCS=1 $(GO) run ./cmd/xkbench -json $(BENCH_JSON)
 
 bench-fdclosure:
-	$(GO) run ./cmd/xkbench -suite fdclosure -json $(BENCH_FDCLOSURE_JSON)
+	GOMAXPROCS=1 $(GO) run ./cmd/xkbench -suite fdclosure -json $(BENCH_FDCLOSURE_JSON)
 
 bench-shred:
-	$(GO) run ./cmd/xkbench -suite shred -json $(BENCH_SHRED_JSON)
+	GOMAXPROCS=1 $(GO) run ./cmd/xkbench -suite shred -json $(BENCH_SHRED_JSON)
 
-# bench-tok regenerates the tokenizer trajectory: fast vs std throughput
-# and allocation counts over the corpus, with the in-run parity gate
-# (CompareDoc must agree on every corpus document) and the zero-alloc
-# steady-state gate enforced before the file is written.
 bench-tok:
-	$(GO) run ./cmd/xkbench -suite tokenizer -json $(BENCH_TOKENIZER_JSON)
+	GOMAXPROCS=1 $(GO) run ./cmd/xkbench -suite tokenizer -json $(BENCH_TOKENIZER_JSON)
 
-# bench-check re-runs the fdclosure suite on the current build and fails
-# if any point is more than 25% slower (ns/op) than the committed
-# baseline. ns/op is machine-dependent, so this is a manual target for
-# the machine that produced the baseline — it is deliberately NOT part
-# of `make verify`. Pass BENCH_FDCLOSURE_JSON=... to check another file
-# (a pathkernel baseline works too: the suite marker is dispatched).
+# bench-check re-runs the points of the committed fdclosure report on the
+# current build and fails if any is more than 25% slower (ns/op). It
+# refuses a report recorded under another Go version or GOMAXPROCS, and
+# ns/op compares only on the machine that produced the report, so this
+# is a manual target and deliberately NOT part of `make verify`. Pass
+# BENCH_FDCLOSURE_JSON=... to check another file: any suite's report
+# works.
 bench-check:
-	$(GO) run ./cmd/xkbench -check-against $(BENCH_FDCLOSURE_JSON)
+	GOMAXPROCS=1 $(GO) run ./cmd/xkbench -check-against $(BENCH_FDCLOSURE_JSON)
 
 # serve-smoke boots a real xkserve on an ephemeral port and drives every
 # endpoint over TCP: second identical propagation request must be a
@@ -123,13 +124,10 @@ load-smoke:
 # benchmark's vet, tests, the race run (which includes the
 # fault-injection stress suites), the focused stress pass, the xkserve
 # end-to-end smoke, the differential cross-check smoke, the short chaos
-# soak, and the shredding-pipeline smoke. If a committed bench trajectory
-# is present, smoke-check that it is well-formed JSON for its suite.
+# soak, and the shredding-pipeline smoke. Every committed BENCH_*.json
+# must then pass its suite's gate table (xkbench -check-json).
 verify: build fmt vet bench-vet test race stress serve-smoke diff-smoke soak-smoke load-smoke
-	@if [ -f $(BENCH_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_JSON); fi
-	@if [ -f $(BENCH_FDCLOSURE_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_FDCLOSURE_JSON); fi
-	@if [ -f $(BENCH_SHRED_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_SHRED_JSON); fi
-	@if [ -f $(BENCH_TOKENIZER_JSON) ]; then $(GO) run ./cmd/xkbench -check-json $(BENCH_TOKENIZER_JSON); fi
+	@for f in BENCH_*.json; do [ ! -f "$$f" ] || $(GO) run ./cmd/xkbench -check-json "$$f" || exit 1; done
 
 help:
 	@echo "Targets:"
@@ -141,16 +139,16 @@ help:
 	@echo "  race            full test suite under -race -short"
 	@echo "  stress          fault-injection suites only, under -race -short"
 	@echo "  fuzz-smoke      run each fuzz target for FUZZTIME (default 30s)"
-	@echo "  bench           testing.B suite + both xkbench JSON trajectories"
-	@echo "  bench-json      regenerate $(BENCH_JSON) only"
+	@echo "  bench           testing.B suite + all four xkbench JSON reports"
+	@echo "  bench-json      regenerate $(BENCH_JSON) only (GOMAXPROCS=1)"
 	@echo "  bench-fdclosure regenerate $(BENCH_FDCLOSURE_JSON) only (FD-closure micro-grid)"
 	@echo "  bench-shred     regenerate $(BENCH_SHRED_JSON) only (streaming shredding grid)"
 	@echo "  bench-tok       regenerate $(BENCH_TOKENIZER_JSON) only (fast vs std tokenizer corpus)"
-	@echo "  bench-check     re-run the fdclosure suite and fail on >25% ns/op regression"
-	@echo "                  vs the committed $(BENCH_FDCLOSURE_JSON); same-machine baselines"
-	@echo "                  only, so it is manual and not part of verify"
+	@echo "  bench-check     re-run the points of $(BENCH_FDCLOSURE_JSON) and fail on >25%"
+	@echo "                  ns/op regression; any suite's report works via BENCH_FDCLOSURE_JSON=...;"
+	@echo "                  same machine, Go version and GOMAXPROCS only, so it is manual"
 	@echo "  serve-smoke     boot xkserve on an ephemeral port and drive every endpoint"
 	@echo "  diff-smoke      cross-check every redundant decision path on a pinned seed"
 	@echo "  soak-smoke      short seeded chaos soak of xkserve behind the fault proxy"
 	@echo "  load-smoke      end-to-end shredding pipeline smoke (exact counts, rejection, leaks)"
-	@echo "  verify          build + fmt + vet + bench-vet + test + race + stress + serve-smoke + diff-smoke + soak-smoke + load-smoke + bench JSON checks"
+	@echo "  verify          build + fmt + vet + bench-vet + test + race + stress + serve-smoke + diff-smoke + soak-smoke + load-smoke + -check-json on every BENCH_*.json"

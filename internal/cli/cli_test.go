@@ -183,17 +183,25 @@ func TestXkcoverDemo(t *testing.T) {
 	}
 }
 
-// TestParallelFlag pins the removal of -parallel: xkprop, xkcover and
-// xkbench reject it as an unknown flag (exit 2), and the file-based runs
-// it used to vary give their answers without it: the xkprop chapter
-// verdict, and xkcover -naive on the universal fixture (the only
-// file-based naive cross-check).
-func TestParallelFlag(t *testing.T) {
-	for name, tool := range map[string]func([]string, *bytes.Buffer, *bytes.Buffer) int{
-		"xkprop": propF, "xkcover": coverF, "xkbench": benchF,
+// TestRemovedFlags pins the removal of xkprop's, xkcover's and
+// xkbench's -parallel and of xkbench's -max-fields: each is an unknown
+// flag (exit 2). The file-based runs -parallel used to vary give their
+// answers without it: the xkprop chapter verdict, and xkcover -naive on
+// the universal fixture (the only file-based naive cross-check).
+func TestRemovedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tool func([]string, *bytes.Buffer, *bytes.Buffer) int
+		flag string
+		val  string
+	}{
+		{"xkprop", propF, "-parallel", "4"},
+		{"xkcover", coverF, "-parallel", "4"},
+		{"xkbench", benchF, "-parallel", "4"},
+		{"xkbench", benchF, "-max-fields", "10"},
 	} {
-		if code, _, errb := runTool(t, tool, "-parallel", "4"); code != 2 || !strings.Contains(errb, "-parallel") {
-			t.Errorf("%s -parallel 4: code=%d err=%s", name, code, errb)
+		if code, _, errb := runTool(t, tc.tool, tc.flag, tc.val); code != 2 || !strings.Contains(errb, tc.flag) {
+			t.Errorf("%s %s %s: code=%d err=%s", tc.name, tc.flag, tc.val, code, errb)
 		}
 	}
 	keys, rules, universal, _ := fixtures(t)

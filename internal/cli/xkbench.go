@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"testing"
 	"time"
 
 	"xkprop/internal/core"
@@ -25,16 +26,19 @@ func RunXkbench(args []string, stdout, stderr io.Writer) int {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	suite := fs.String("suite", "pathkernel", "benchmark suite for -json/no-fig runs: pathkernel (§6 minimum-cover grid), fdclosure (FD-closure micro-grid), shred (streaming shredding data plane), or tokenizer (zero-copy tokenizer vs encoding/xml)")
 	jsonOut := fs.String("json", "", "run the selected -suite via testing.Benchmark and write a JSON report to this file (skips -fig)")
-	checkJSON := fs.String("check-json", "", "validate a suite JSON report and exit (smoke check)")
-	checkAgainst := fs.String("check-against", "", "re-run the committed report's suite and fail on >25% ns/op regression (same-machine baselines only)")
-	maxFields := fs.Int("max-fields", 100, "cap on grid field counts in -json mode (0 = no cap)")
+	checkJSON := fs.String("check-json", "", "apply a suite JSON report's gate table to it and exit")
+	checkAgainst := fs.String("check-against", "", "re-run the points of a suite JSON report and fail on >25% ns/op regression (same machine, Go version and GOMAXPROCS only)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	if *checkJSON != "" {
-		if err := checkBenchJSON(*checkJSON); err != nil {
-			fmt.Fprintf(stderr, "xkbench: %v\n", err)
+		rep, s, err := readBenchReport(*checkJSON)
+		if err == nil {
+			err = s.check(rep)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "xkbench: %s: %v\n", *checkJSON, err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "xkbench: %s OK\n", *checkJSON)
@@ -42,11 +46,17 @@ func RunXkbench(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *checkAgainst != "" {
-		if err := checkBenchAgainst(stdout, *checkAgainst, *maxFields); err != nil {
+		if err := checkBenchAgainst(stdout, *checkAgainst); err != nil {
 			fmt.Fprintf(stderr, "xkbench: %v\n", err)
 			return 1
 		}
 		return 0
+	}
+
+	s, ok := benchSuites[*suite]
+	if !ok {
+		fmt.Fprintf(stderr, "xkbench: unknown suite %q (want pathkernel, fdclosure, shred, or tokenizer)\n", *suite)
+		return 2
 	}
 
 	if *cpuProfile != "" {
@@ -75,43 +85,14 @@ func RunXkbench(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	switch *suite {
-	case "pathkernel":
-		// Falls through to -json / -fig below.
-	case "fdclosure":
-		if *jsonOut != "" {
-			if err := fdclosureJSON(stdout, *jsonOut); err != nil {
-				return fail(stderr, "xkbench", err)
-			}
-		} else {
-			fdclosureRun(stdout)
+	// The pathkernel suite prints as the §6 figures; the others print
+	// their points.
+	if *jsonOut != "" || s.name != "pathkernel" {
+		rep, err := benchRun(stdout, s.name, s.cells())
+		if err == nil && *jsonOut != "" {
+			err = writeBenchReport(*jsonOut, s, rep)
 		}
-		return 0
-	case "shred":
-		if *jsonOut != "" {
-			if err := shredJSON(stdout, *jsonOut); err != nil {
-				return fail(stderr, "xkbench", err)
-			}
-		} else if _, err := shredRun(stdout); err != nil {
-			return fail(stderr, "xkbench", err)
-		}
-		return 0
-	case "tokenizer":
-		if *jsonOut != "" {
-			if err := tokenizerJSON(stdout, *jsonOut); err != nil {
-				return fail(stderr, "xkbench", err)
-			}
-		} else if _, err := tokenizerRun(stdout); err != nil {
-			return fail(stderr, "xkbench", err)
-		}
-		return 0
-	default:
-		fmt.Fprintf(stderr, "xkbench: unknown suite %q (want pathkernel, fdclosure, shred, or tokenizer)\n", *suite)
-		return 2
-	}
-
-	if *jsonOut != "" {
-		if err := benchJSON(stdout, *jsonOut, *maxFields); err != nil {
+		if err != nil {
 			return fail(stderr, "xkbench", err)
 		}
 		return 0
@@ -136,6 +117,37 @@ func RunXkbench(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
+}
+
+// pathkernelMaxFields caps the pathkernel suite's §6 grid at the field
+// counts BENCH_pathkernel.json records.
+const pathkernelMaxFields = 100
+
+// pathkernelSinkFDs keeps the compiler from eliding the benchmark body.
+var pathkernelSinkFDs []rel.FD
+
+// pathkernelSuite measures minimum cover over the §6 grid. Its gate
+// table is empty: the gates every suite shares are its only gates.
+var pathkernelSuite = benchSuite{name: "pathkernel", cells: pathkernelCells}
+
+func pathkernelCells() []benchCell {
+	var cells []benchCell
+	for _, cfg := range workload.Sec6Grid(pathkernelMaxFields) {
+		cells = append(cells, benchCell{
+			name:   fmt.Sprintf("MinimumCover/fields=%d/depth=%d/keys=%d", cfg.Fields, cfg.Depth, cfg.Keys),
+			params: []benchVal{{"fields", cfg.Fields}, {"depth", cfg.Depth}, {"keys", cfg.Keys}},
+			setup: func() ([]benchVal, func(*testing.B), error) {
+				wl := workload.Generate(cfg)
+				cover := core.NewEngine(wl.Sigma, wl.Rule).MinimumCover()
+				return []benchVal{{"cover_size", len(cover)}}, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						pathkernelSinkFDs = core.NewEngine(wl.Sigma, wl.Rule).MinimumCover()
+					}
+				}, nil
+			},
+		})
+	}
+	return cells
 }
 
 // benchMeasure runs f reps times and returns the minimum wall time.

@@ -2,11 +2,9 @@ package cli
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
+	"math"
 	"testing"
 
 	"xkprop/internal/paperdata"
@@ -17,224 +15,95 @@ import (
 
 // This file implements xkbench's tokenizer suite: the zero-copy XML
 // tokenizer against the encoding/xml oracle over the paper document and
-// the workload grid. Every cell first holds the two decoders to
-// token-for-token agreement (xmltok.CompareDoc), then measures both. The
-// fast cells run in the ingest plane's steady state — one tokenizer
-// reused via Reset — and the committed JSON re-asserts under -check-json
-// that steady-state tokenization allocates nothing.
+// the workload grid. Every cell's set-up first holds the two decoders to
+// token-for-token agreement (xmltok.CompareDoc). The fast cells run in
+// the ingest plane's steady state: one tokenizer reused via Reset.
 
-// tokPoint is one (document, decoder) measurement.
-type tokPoint struct {
-	Name        string  `json:"name"`
-	Doc         string  `json:"doc"`
-	Op          string  `json:"op"` // tok_fast, tok_std
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	MBPerSec    float64 `json:"mb_per_sec"`
-	// Tokens is the document's token count; DocBytes sizes the input;
-	// Agrees records the cell's CompareDoc parity check.
-	Tokens   int64 `json:"tokens"`
-	DocBytes int   `json:"doc_bytes"`
-	Agrees   bool  `json:"agrees"`
+// tokenizerSuite's headline gate: steady-state fast tokenization (reader
+// and tokenizer reused via Reset, label cache warm) allocates nothing.
+var tokenizerSuite = benchSuite{
+	name:  "tokenizer",
+	cells: tokenizerCells,
+	gates: []benchGate{
+		gateOneOf("op", "tok_fast", "tok_std"),
+		gateRange("tokens", 1, math.Inf(1)),
+		gateRange("doc_bytes", 1, math.Inf(1)),
+		gateOneOf("agrees", true),
+		gateRange("allocs_per_op", 0, 0, benchVal{"op", "tok_fast"}),
+	},
 }
 
-// tokReport is the top-level JSON document (suite "tokenizer").
-type tokReport struct {
-	Suite      string     `json:"suite"`
-	GoVersion  string     `json:"go"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Points     []tokPoint `json:"points"`
-}
-
-// tokCorpus is the measured document set: the paper's Fig 1 document
-// plus workload documents spanning flat, deep and wide rule shapes.
-func tokCorpus() []struct {
-	name string
-	doc  []byte
-} {
-	out := []struct {
-		name string
-		doc  []byte
-	}{{"fig1", []byte(paperdata.Fig1XML)}}
+// tokenizerCells measure the paper's Fig 1 document plus workload
+// documents spanning flat, deep and wide rule shapes.
+func tokenizerCells() []benchCell {
+	var cells []benchCell
 	for _, c := range []struct {
-		name   string
-		cfg    workload.Config
+		doc    string
+		cfg    workload.Config // unused for fig1
 		fanout int
 	}{
+		{"fig1", workload.Config{}, 0},
 		{"fields=8/fanout=4", workload.Config{Fields: 8, Depth: 2, Keys: 4}, 4},
 		{"fields=12/fanout=6", workload.Config{Fields: 12, Depth: 3, Keys: 6}, 6},
 		{"fields=15/fanout=2", workload.Config{Fields: 15, Depth: 5, Keys: 10}, 2},
 	} {
-		doc := workload.Generate(c.cfg).Document(c.fanout).XMLString()
-		out = append(out, struct {
-			name string
-			doc  []byte
-		}{c.name, []byte(doc)})
+		for _, op := range []string{"tok_fast", "tok_std"} {
+			cells = append(cells, benchCell{
+				name:   fmt.Sprintf("Tokenizer/%s/%s", c.doc, op),
+				params: []benchVal{{"doc", c.doc}},
+				op:     op,
+				setup: func() ([]benchVal, func(*testing.B), error) {
+					doc := paperdata.Fig1XML
+					if c.doc != "fig1" {
+						doc = workload.Generate(c.cfg).Document(c.fanout).XMLString()
+					}
+					return tokSetup([]byte(doc), op)
+				},
+			})
+		}
 	}
-	return out
+	return cells
 }
 
-func tokCount(doc []byte) (int64, error) {
-	src := xmltok.New(bytes.NewReader(doc), nil)
-	var n int64
-	for {
-		_, err := src.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		n++
+// tokSetup checks decoder parity on doc and counts its tokens. Its facts
+// are the token count, the input size and the parity verdict.
+func tokSetup(doc []byte, op string) ([]benchVal, func(*testing.B), error) {
+	if diff := xmltok.CompareDoc(doc, nil); diff != "" {
+		return nil, nil, fmt.Errorf("tokenizer parity: %s", diff)
 	}
-}
-
-// tokenizerRun measures the whole corpus and returns the report.
-func tokenizerRun(stdout io.Writer) (tokReport, error) {
-	rep := tokReport{
-		Suite:      "tokenizer",
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	tokens, err := tokDrain(xmltok.New(bytes.NewReader(doc), nil))
+	if err != io.EOF {
+		return nil, nil, err
 	}
-	for _, c := range tokCorpus() {
-		diff := xmltok.CompareDoc(c.doc, nil)
-		if diff != "" {
-			return rep, fmt.Errorf("tokenizer parity on %s: %s", c.name, diff)
-		}
-		tokens, err := tokCount(c.doc)
-		if err != nil {
-			return rep, fmt.Errorf("tokenizing %s: %w", c.name, err)
-		}
-		base := tokPoint{Doc: c.name, Tokens: tokens, DocBytes: len(c.doc), Agrees: true}
-
-		doc := c.doc
-		in := xpath.NewInterner()
+	facts := []benchVal{{"tokens", tokens}, {"doc_bytes", len(doc)}, {"agrees", true}}
+	stdIn := xpath.NewInterner()
+	drain := func() (int64, error) { return tokDrain(xmltok.NewStd(bytes.NewReader(doc), stdIn)) }
+	if op == "tok_fast" {
 		rd := bytes.NewReader(doc)
-		tk := xmltok.New(rd, in)
-		tokMeasure(&rep, stdout, base, "tok_fast", func(b *testing.B) {
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				rd.Reset(doc)
-				tk.Reset(rd)
-				if err := tokDrain(tk); err != nil {
-					b.Fatal(err)
-				}
+		tk := xmltok.New(rd, xpath.NewInterner())
+		drain = func() (int64, error) {
+			rd.Reset(doc)
+			tk.Reset(rd)
+			return tokDrain(tk)
+		}
+	}
+	return facts, func(b *testing.B) {
+		b.SetBytes(int64(len(doc)))
+		for i := 0; i < b.N; i++ {
+			if _, err := drain(); err != io.EOF {
+				b.Fatal(err)
 			}
-		})
-		stdIn := xpath.NewInterner()
-		tokMeasure(&rep, stdout, base, "tok_std", func(b *testing.B) {
-			b.SetBytes(int64(len(doc)))
-			for i := 0; i < b.N; i++ {
-				if err := tokDrain(xmltok.NewStd(bytes.NewReader(doc), stdIn)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	return rep, nil
+		}
+	}, nil
 }
 
-func tokDrain(src xmltok.Source) error {
-	for {
-		_, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+// tokDrain reads src until it fails and returns its token count and
+// the error that ended it, io.EOF at the end of a well-formed document.
+// Leaving io.EOF to the caller keeps tokDrain within the inliner's
+// budget, so the std benchmark body's source stays on the stack.
+func tokDrain(src xmltok.Source) (n int64, err error) {
+	for ; err == nil; n++ {
+		_, err = src.Next()
 	}
-}
-
-func tokMeasure(rep *tokReport, stdout io.Writer, base tokPoint, op string, f func(b *testing.B)) {
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		f(b)
-	})
-	p := base
-	p.Name = fmt.Sprintf("Tokenizer/%s/%s", base.Doc, op)
-	p.Op = op
-	p.Iterations = r.N
-	p.NsPerOp = float64(r.T.Nanoseconds()) / float64(r.N)
-	p.AllocsPerOp = r.AllocsPerOp()
-	p.BytesPerOp = r.AllocedBytesPerOp()
-	if p.NsPerOp > 0 {
-		p.MBPerSec = float64(p.DocBytes) / p.NsPerOp * 1e3
-	}
-	rep.Points = append(rep.Points, p)
-	fmt.Fprintf(stdout, "%-40s  %12.0f ns/op  %8.1f MB/s  %6d allocs/op  %6d tokens\n",
-		p.Name, p.NsPerOp, p.MBPerSec, p.AllocsPerOp, p.Tokens)
-}
-
-// tokenizerJSON runs the suite and writes the report (atomic rename),
-// refusing to write a report that fails its own gates.
-func tokenizerJSON(stdout io.Writer, path string) error {
-	rep, err := tokenizerRun(stdout)
-	if err != nil {
-		return err
-	}
-	if err := checkTokReport(path, &rep); err != nil {
-		return fmt.Errorf("refusing to write: %w", err)
-	}
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	return writeFileAtomic(path, data)
-}
-
-// checkTokenizerJSON validates a report written by tokenizerJSON — the
-// -check-json gates for the committed BENCH_tokenizer.json.
-func checkTokenizerJSON(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep tokReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return checkTokReport(path, &rep)
-}
-
-func checkTokReport(path string, rep *tokReport) error {
-	if rep.Suite != "tokenizer" {
-		return fmt.Errorf("%s: suite is %q, want \"tokenizer\"", path, rep.Suite)
-	}
-	if len(rep.Points) == 0 {
-		return fmt.Errorf("%s: no points", path)
-	}
-	for _, p := range rep.Points {
-		if p.Name == "" {
-			return fmt.Errorf("%s: point with empty name", path)
-		}
-		if p.NsPerOp <= 0 || p.Iterations <= 0 {
-			return fmt.Errorf("%s: %s: non-positive timing (%g ns/op over %d iterations)",
-				path, p.Name, p.NsPerOp, p.Iterations)
-		}
-		switch p.Op {
-		case "tok_fast", "tok_std":
-		default:
-			return fmt.Errorf("%s: %s: unknown op %q", path, p.Name, p.Op)
-		}
-		if p.Tokens <= 0 {
-			return fmt.Errorf("%s: %s: no tokens", path, p.Name)
-		}
-		if p.DocBytes <= 0 {
-			return fmt.Errorf("%s: %s: empty document", path, p.Name)
-		}
-		if !p.Agrees {
-			return fmt.Errorf("%s: %s: decoders disagree", path, p.Name)
-		}
-		// The headline gate: steady-state fast tokenization (reader and
-		// tokenizer reused via Reset, label cache warm) allocates nothing.
-		if p.Op == "tok_fast" && p.AllocsPerOp != 0 {
-			return fmt.Errorf("%s: %s: %d allocs/op in steady state, want 0",
-				path, p.Name, p.AllocsPerOp)
-		}
-	}
-	return nil
+	return n - 1, err
 }
