@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -129,12 +130,31 @@ func (p *benchPoint) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// benchReport is the JSON document every suite writes.
+// benchReport is the JSON document every suite writes. CPU and NumCPU
+// name the machine that measured it, as e2ebench's fingerprint line does;
+// a report written before they were recorded has neither.
 type benchReport struct {
 	Suite      string       `json:"suite"`
 	GoVersion  string       `json:"go"`
 	GOMAXPROCS int          `json:"gomaxprocs"`
+	CPU        string       `json:"cpu"`
+	NumCPU     int          `json:"nproc"`
 	Points     []benchPoint `json:"points"`
+}
+
+// benchMachine returns this machine's CPU model, the first "model name"
+// of /proc/cpuinfo ("unknown" when there is none), and its CPU count.
+func benchMachine() (cpu string, nproc int) {
+	cpu = "unknown"
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				cpu = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return cpu, runtime.NumCPU()
 }
 
 // benchCell is one measured point of a suite. setup builds the cell's
@@ -210,6 +230,9 @@ func (s benchSuite) check(rep *benchReport) error {
 	if len(rep.Points) == 0 {
 		return errors.New("no points")
 	}
+	if (rep.CPU == "") != (rep.NumCPU == 0) || rep.NumCPU < 0 {
+		return fmt.Errorf("machine is cpu %q with nproc %d: want both recorded, or neither", rep.CPU, rep.NumCPU)
+	}
 	for _, p := range rep.Points {
 		if p.name() == "" {
 			return errors.New("point with empty name")
@@ -242,6 +265,7 @@ func (s benchSuite) check(rep *benchReport) error {
 // benchRun measures cells in order and prints one line per point.
 func benchRun(w io.Writer, suite string, cells []benchCell) (*benchReport, error) {
 	rep := &benchReport{Suite: suite, GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	rep.CPU, rep.NumCPU = benchMachine()
 	for _, c := range cells {
 		facts, body, err := c.setup()
 		if err != nil {
@@ -318,9 +342,10 @@ const benchRegressTolerance = 1.25
 // checkBenchAgainst re-runs, on the current build, the cells a baseline
 // report names and compares each one's ns/op with the baseline's. It is
 // the `make bench-check` entry point. ns/op compares only on the machine
-// that produced the baseline, under the same Go version and GOMAXPROCS;
-// the report records the last two, so a baseline that lacks them or
-// differs is refused before anything runs.
+// that produced the baseline, under the same Go version and GOMAXPROCS.
+// A baseline that lacks the last two, or records another Go version,
+// GOMAXPROCS or machine, is refused before anything runs; one that
+// records no machine is compared with a warning.
 func checkBenchAgainst(w io.Writer, path string) error {
 	base, s, err := readBenchReport(path)
 	if err != nil {
@@ -330,6 +355,14 @@ func checkBenchAgainst(w io.Writer, path string) error {
 	if base.GoVersion != goVersion || base.GOMAXPROCS != procs {
 		return fmt.Errorf("%s: refusing to compare: the baseline records go %q at gomaxprocs %d, this run is go %q at gomaxprocs %d",
 			path, base.GoVersion, base.GOMAXPROCS, goVersion, procs)
+	}
+	cpu, nproc := benchMachine()
+	switch {
+	case base.CPU == "" && base.NumCPU == 0:
+		fmt.Fprintf(w, "xkbench: warning: %s records no machine; its ns/op compare only on the machine that recorded it\n", path)
+	case base.CPU != cpu || base.NumCPU != nproc:
+		return fmt.Errorf("%s: refusing to compare: the baseline records cpu %q with nproc %d, this machine is cpu %q with nproc %d",
+			path, base.CPU, base.NumCPU, cpu, nproc)
 	}
 	cells := map[string]benchCell{}
 	for _, c := range s.cells() {

@@ -42,8 +42,10 @@ func TestXkbenchJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
 	}
-	if got.Suite != "pathkernel" || got.GoVersion != runtime.Version() || got.GOMAXPROCS != runtime.GOMAXPROCS(0) {
-		t.Fatalf("header = %q %q %d", got.Suite, got.GoVersion, got.GOMAXPROCS)
+	cpu, nproc := benchMachine()
+	if got.Suite != "pathkernel" || got.GoVersion != runtime.Version() || got.GOMAXPROCS != runtime.GOMAXPROCS(0) ||
+		got.CPU != cpu || got.NumCPU != nproc || cpu == "" || nproc < 1 {
+		t.Fatalf("header = %q %q %d %q %d", got.Suite, got.GoVersion, got.GOMAXPROCS, got.CPU, got.NumCPU)
 	}
 	if len(got.Points) != 1 || got.Points[0].name() != name {
 		t.Fatalf("points = %v, want the one point %s", got.Points, name)
@@ -119,7 +121,8 @@ func (p gatePoint) set(k string, v any) gatePoint {
 
 // TestXkbenchGateTable feeds synthetic reports to -check-json: each gate
 // passes a point exactly at its bound and rejects, by the point's name,
-// one just past it. Nothing is benchmarked.
+// one just past it. A report may record its machine or not, but not half
+// of it. Nothing is benchmarked.
 func TestXkbenchGateTable(t *testing.T) {
 	fd := func(fds int, op string, ns float64) gatePoint {
 		return gatePoint{"name": fmt.Sprintf("FDClosure/fds=%d/%s", fds, op),
@@ -199,51 +202,107 @@ func TestXkbenchGateTable(t *testing.T) {
 			t.Errorf("case %d %s: exit %d, want 1 naming %q: %s", i, tc.name, code, tc.reject, stderr.String())
 		}
 	}
+	// The machine is all or nothing: a report that records it, or one
+	// written before reports did, passes; half a machine is rejected.
+	for i, m := range []struct {
+		machine map[string]any
+		ok      bool
+	}{
+		{map[string]any{"cpu": "Some CPU", "nproc": 2}, true},
+		{map[string]any{}, true},
+		{map[string]any{"cpu": "Some CPU"}, false},
+		{map[string]any{"nproc": 2}, false},
+		{map[string]any{"cpu": "Some CPU", "nproc": -1}, false},
+	} {
+		rep := map[string]any{"suite": "pathkernel", "go": "go1", "gomaxprocs": 1, "points": []gatePoint{pk}}
+		for k, v := range m.machine {
+			rep[k] = v
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("machine-%d.json", i))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := RunXkbench([]string{"-check-json", path}, &stdout, &stderr)
+		if m.ok != (code == 0) || !m.ok && (code != 1 || !strings.Contains(stderr.String(), "want both recorded, or neither")) {
+			t.Errorf("machine %v: exit %d, want ok=%v: %s", m.machine, code, m.ok, stderr.String())
+		}
+	}
 }
 
 // TestXkbenchCheckAgainst re-runs a one-point baseline of each suite,
-// stamped with this run's Go version and GOMAXPROCS: the named cell is
-// measured and passes against 1e12 ns/op, a point the suite has no cell
-// for fails by name before anything runs, and a baseline recorded at
-// another GOMAXPROCS is refused.
+// stamped with this run's Go version, GOMAXPROCS and machine: the named
+// cell is measured and passes against 1e12 ns/op, a point the suite has
+// no cell for fails by name before anything runs, and a baseline
+// recorded at another GOMAXPROCS is refused. On the tokenizer suite, a
+// baseline recorded on another machine (CPU model or count) is refused,
+// and one that records no machine is compared with a warning.
 func TestXkbenchCheckAgainst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs testing.Benchmark; skipped in -short mode")
 	}
 	dir := t.TempDir()
 	procs := runtime.GOMAXPROCS(0)
+	cpu, nproc := benchMachine()
+	here := map[string]any{"cpu": cpu, "nproc": nproc}
+	type baseline struct {
+		point   string
+		procs   int
+		machine map[string]any // the report's cpu and nproc keys
+		code    int
+		want    string
+		warns   bool
+	}
+	run := func(suite string, c baseline) {
+		t.Helper()
+		rep := map[string]any{"suite": suite, "go": runtime.Version(), "gomaxprocs": c.procs,
+			"points": []map[string]any{{"name": c.point, "iterations": 1, "ns_per_op": 1e12}}}
+		for k, v := range c.machine {
+			rep[k] = v
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, suite+".json")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := RunXkbench([]string{"-check-against", p}, &stdout, &stderr)
+		out := stdout.String() + stderr.String()
+		if code != c.code || !strings.Contains(out, c.want) || strings.Contains(out, "records no machine") != c.warns {
+			t.Errorf("%s %s at gomaxprocs %d on %v: exit %d, want %d with %q (warning %v)\nstdout:\n%s\nstderr:\n%s",
+				suite, c.point, c.procs, c.machine, code, c.code, c.want, c.warns, stdout.String(), stderr.String())
+		}
+	}
 	for _, tc := range []struct{ suite, point string }{
 		{"pathkernel", "MinimumCover/fields=10/depth=5/keys=10"},
 		{"fdclosure", "FDClosure/fields=100/fds=10/lhsw=2/closure_indexed"},
 		{"shred", "Shred/fields=8/depth=2/keys=4/width=0/fanout=4/shred"},
 		{"tokenizer", "Tokenizer/fig1/tok_fast"},
 	} {
-		for _, c := range []struct {
-			point string
-			procs int
-			code  int
-			want  string
-		}{
-			{tc.point, procs, 0, "1 points within 25%"},
-			{tc.suite + "/no-such-point", procs, 1, tc.suite + "/no-such-point"},
-			{tc.point, procs + 1, 1, fmt.Sprintf("refusing to compare: the baseline records go %q at gomaxprocs %d, this run is go %q at gomaxprocs %d",
-				runtime.Version(), procs+1, runtime.Version(), procs)},
+		for _, c := range []baseline{
+			{tc.point, procs, here, 0, "1 points within 25%", false},
+			{tc.suite + "/no-such-point", procs, here, 1, tc.suite + "/no-such-point", false},
+			{tc.point, procs + 1, here, 1, fmt.Sprintf("refusing to compare: the baseline records go %q at gomaxprocs %d, this run is go %q at gomaxprocs %d",
+				runtime.Version(), procs+1, runtime.Version(), procs), false},
 		} {
-			p := filepath.Join(dir, tc.suite+".json")
-			data, err := json.Marshal(map[string]any{"suite": tc.suite, "go": runtime.Version(), "gomaxprocs": c.procs,
-				"points": []map[string]any{{"name": c.point, "iterations": 1, "ns_per_op": 1e12}}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(p, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var stdout, stderr bytes.Buffer
-			code := RunXkbench([]string{"-check-against", p}, &stdout, &stderr)
-			if code != c.code || !strings.Contains(stdout.String()+stderr.String(), c.want) {
-				t.Errorf("%s %s at gomaxprocs %d: exit %d, want %d with %q\nstdout:\n%s\nstderr:\n%s",
-					tc.suite, c.point, c.procs, code, c.code, c.want, stdout.String(), stderr.String())
-			}
+			run(tc.suite, c)
 		}
+	}
+	const point = "Tokenizer/text/tok_fast"
+	for _, c := range []baseline{
+		{point, procs, map[string]any{"cpu": "Other CPU", "nproc": nproc}, 1,
+			fmt.Sprintf("refusing to compare: the baseline records cpu %q with nproc %d, this machine is cpu %q with nproc %d", "Other CPU", nproc, cpu, nproc), false},
+		{point, procs, map[string]any{"cpu": cpu, "nproc": nproc + 1}, 1,
+			fmt.Sprintf("the baseline records cpu %q with nproc %d", cpu, nproc+1), false},
+		{point, procs, nil, 0, "1 points within 25%", true},
+	} {
+		run("tokenizer", c)
 	}
 }

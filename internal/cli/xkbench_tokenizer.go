@@ -33,36 +33,36 @@ var tokenizerSuite = benchSuite{
 	},
 }
 
-// tokenizerCells measure the paper's Fig 1 document plus workload
-// documents spanning flat, deep and wide rule shapes.
+// tokenizerCells measure the paper's Fig 1 document, workload documents
+// spanning flat, deep and wide rule shapes, and a text-heavy document
+// (workload.TextDocument) whose bytes are mostly character data.
 func tokenizerCells() []benchCell {
 	var cells []benchCell
 	for _, c := range []struct {
-		doc    string
-		cfg    workload.Config // unused for fig1
-		fanout int
+		doc string
+		xml func() string
 	}{
-		{"fig1", workload.Config{}, 0},
-		{"fields=8/fanout=4", workload.Config{Fields: 8, Depth: 2, Keys: 4}, 4},
-		{"fields=12/fanout=6", workload.Config{Fields: 12, Depth: 3, Keys: 6}, 6},
-		{"fields=15/fanout=2", workload.Config{Fields: 15, Depth: 5, Keys: 10}, 2},
+		{"fig1", func() string { return paperdata.Fig1XML }},
+		{"fields=8/fanout=4", workloadDoc(workload.Config{Fields: 8, Depth: 2, Keys: 4}, 4)},
+		{"fields=12/fanout=6", workloadDoc(workload.Config{Fields: 12, Depth: 3, Keys: 6}, 6)},
+		{"fields=15/fanout=2", workloadDoc(workload.Config{Fields: 15, Depth: 5, Keys: 10}, 2)},
+		{"text", workload.TextDocument},
 	} {
 		for _, op := range []string{"tok_fast", "tok_std"} {
 			cells = append(cells, benchCell{
 				name:   fmt.Sprintf("Tokenizer/%s/%s", c.doc, op),
 				params: []benchVal{{"doc", c.doc}},
 				op:     op,
-				setup: func() ([]benchVal, func(*testing.B), error) {
-					doc := paperdata.Fig1XML
-					if c.doc != "fig1" {
-						doc = workload.Generate(c.cfg).Document(c.fanout).XMLString()
-					}
-					return tokSetup([]byte(doc), op)
-				},
+				setup:  func() ([]benchVal, func(*testing.B), error) { return tokSetup([]byte(c.xml()), op) },
 			})
 		}
 	}
 	return cells
+}
+
+// workloadDoc returns a generator of cfg's document at fanout.
+func workloadDoc(cfg workload.Config, fanout int) func() string {
+	return func() string { return workload.Generate(cfg).Document(fanout).XMLString() }
 }
 
 // tokSetup checks decoder parity on doc and counts its tokens. Its facts

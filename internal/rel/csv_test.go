@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"bufio"
 	"strings"
 	"testing"
 )
@@ -30,6 +31,40 @@ func TestCSVEscape(t *testing.T) {
 		if got := CSVEscape(c.in); got != c.want {
 			t.Errorf("CSVEscape(%q) = %q, want %q", c.in, got, c.want)
 		}
+		var b strings.Builder
+		w := bufio.NewWriter(&b)
+		WriteCSVField(w, c.in)
+		w.Flush()
+		if b.String() != c.want {
+			t.Errorf("WriteCSVField(%q) wrote %q, want %q", c.in, b.String(), c.want)
+		}
+	}
+}
+
+// TestWriteCSVFieldMatchesEscape: WriteCSVField writes CSVEscape's
+// bytes for every string over the special bytes and two plain ones, up
+// to length 5, each written into one shared buffer.
+func TestWriteCSVFieldMatchesEscape(t *testing.T) {
+	alphabet := []byte{',', '"', '\r', '\n', 'a', 0xc3}
+	var b strings.Builder
+	w := bufio.NewWriterSize(&b, 16) // small: fields straddle flushes
+	var want strings.Builder
+	var gen func(prefix []byte)
+	gen = func(prefix []byte) {
+		WriteCSVField(w, string(prefix))
+		w.WriteByte('|')
+		want.WriteString(CSVEscape(string(prefix)) + "|")
+		if len(prefix) == 5 {
+			return
+		}
+		for _, c := range alphabet {
+			gen(append(prefix, c))
+		}
+	}
+	gen(nil)
+	w.Flush()
+	if b.String() != want.String() {
+		t.Fatal("WriteCSVField and CSVEscape disagree")
 	}
 }
 

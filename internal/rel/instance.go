@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"bufio"
 	"fmt"
 	"sort"
 	"strings"
@@ -248,21 +249,51 @@ func (r *Relation) String() string {
 	return b.String()
 }
 
-// CSVEscape renders one CSV field per RFC 4180: a field containing a
-// comma, double quote, CR or LF is wrapped in double quotes with every
-// embedded double quote doubled; any other field passes through verbatim.
-// Shared by Relation.CSV and the shredding pipeline's CSV sink so both
-// writers emit the same bytes for the same value. The special bytes are
-// all ASCII, so a plain byte loop finds them; it runs once per field on
-// the CSV sink's hot path.
-func CSVEscape(s string) string {
+// csvQuoted is the RFC 4180 rule CSVEscape and WriteCSVField share: a
+// field containing a comma, double quote, CR or LF must be quoted. The
+// special bytes are all ASCII, so a plain byte loop finds them; it runs
+// once per field on the CSV sink's hot path.
+func csvQuoted(s string) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ',', '"', '\r', '\n':
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+			return true
 		}
 	}
-	return s
+	return false
+}
+
+// CSVEscape renders one CSV field per RFC 4180: a field csvQuoted
+// selects is wrapped in double quotes with every embedded double quote
+// doubled; any other field passes through verbatim.
+func CSVEscape(s string) string {
+	if !csvQuoted(s) {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+}
+
+// WriteCSVField writes the bytes of CSVEscape(s) to w without building
+// the escaped string. The shredding pipeline's CSV sink writes every
+// field through it, so the sink and Relation.CSV emit the same bytes for
+// the same value.
+func WriteCSVField(w *bufio.Writer, s string) {
+	if !csvQuoted(s) {
+		w.WriteString(s)
+		return
+	}
+	w.WriteByte('"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		w.WriteString(s[:i+1])
+		w.WriteByte('"')
+		s = s[i+1:]
+	}
+	w.WriteString(s)
+	w.WriteByte('"')
 }
 
 // CSV renders the instance as CSV with a header row; NULL renders as the

@@ -9,9 +9,10 @@ package shred
 //
 // The element stack is a reusable value slice: frames, their per-rule
 // active-binding lists and the position-set arenas they carve from are
-// all reclaimed on push, and the current element path is rendered at most
-// once per element and only when a binding actually anchors there — so
-// elements that bind nothing cost word-sized NFA steps and no heap.
+// all reclaimed on push, and an element's path node is built at most once
+// and only when a binding actually anchors there — so elements that bind
+// nothing cost word-sized NFA steps and no heap. A path is rendered to a
+// string only when a lineage ref is.
 //
 // A closed block of bindings is handed to its rule as is: the evaluator
 // only counts its rows and charges the tuple budget, and the rule then
@@ -49,10 +50,35 @@ type bind struct {
 	// path is the anchor element's label path, shared by every binding
 	// anchored there; an attribute binding's Ref appends "/@attr" only
 	// when its lineage is rendered.
-	path string
+	path *pathNode
 	val  string
 	text *strings.Builder
 	kids [][]*bind // per child slot, bindings in document order
+}
+
+// pathNode is the last label of an element's absolute path, linked to
+// its parent element's node. Nodes are immutable, so the bindings
+// anchored at an element share one and keep it after the element
+// closes; a later element at the same depth gets a new node.
+type pathNode struct {
+	label  string
+	parent *pathNode
+}
+
+// String renders the path as "/" followed by the labels joined by "/".
+func (n *pathNode) String() string {
+	size := 0
+	for p := n; p != nil; p = p.parent {
+		size += 1 + len(p.label)
+	}
+	buf := make([]byte, size)
+	for p := n; p != nil; p = p.parent {
+		size -= len(p.label)
+		copy(buf[size:], p.label)
+		size--
+		buf[size] = '/'
+	}
+	return string(buf)
 }
 
 // block is one closed binding handed from the evaluator to its rule,
@@ -75,6 +101,8 @@ type bindPos struct {
 // across pushes: active lists, the position-set arena and the opened list
 // only reslice.
 type eframe struct {
+	label  string
+	node   *pathNode   // the element's path node, nil until a binding anchors here
 	active [][]bindPos // per rule: open bindings still able to match children
 	arena  []stream.PosSet
 	opened []*bind // element bindings anchored at this element, doc order
@@ -101,17 +129,11 @@ func (f *eframe) newSets(k int) []stream.PosSet {
 
 // evaluator runs one document through the compiled transformation.
 type evaluator struct {
-	c         *Compiled
-	maxTuples int
-	raw       uint64 // raw rows charged against maxTuples, pre-dedup
-	emit      func(ri int, blk block) error
-	stack     []eframe
-	labels    []string
-	// curPath memoizes the rendered element path; valid while curPathOK.
-	// Rendering happens at most once per element, and only for elements
-	// that anchor at least one binding.
-	curPath    string
-	curPathOK  bool
+	c          *Compiled
+	maxTuples  int
+	raw        uint64 // raw rows charged against maxTuples, pre-dedup
+	emit       func(ri int, blk block) error
+	stack      []eframe
 	texts      []*bind // bindings currently collecting text, stack order
 	closed     []*bind // blocks closing at the current end tag, reused
 	roots      []*bind // per rule
@@ -145,13 +167,21 @@ func attrOf(t *xmltok.Token, name string) (string, bool) {
 	return "", false
 }
 
-// path renders (and memoizes) the current element's absolute label path.
-func (e *evaluator) path() string {
-	if !e.curPathOK {
-		e.curPath = "/" + strings.Join(e.labels, "/")
-		e.curPathOK = true
+// path returns the current element's path node.
+func (e *evaluator) path() *pathNode { return e.nodeAt(len(e.stack) - 1) }
+
+// nodeAt returns the path node of the open element at depth d, building
+// it, and those of its ancestors that have none, on first use.
+func (e *evaluator) nodeAt(d int) *pathNode {
+	f := &e.stack[d]
+	if f.node == nil {
+		var parent *pathNode
+		if d > 0 {
+			parent = e.nodeAt(d - 1)
+		}
+		f.node = &pathNode{label: f.label, parent: parent}
 	}
-	return e.curPath
+	return f.node
 }
 
 // pushFrame grows the stack by one, reclaiming the slices of a frame
@@ -172,6 +202,7 @@ func (e *evaluator) pushFrame() *eframe {
 	for ri := range f.active {
 		f.active[ri] = f.active[ri][:0]
 	}
+	f.node = nil
 	f.arena = f.arena[:0]
 	f.opened = f.opened[:0]
 	f.nText = 0
@@ -182,9 +213,8 @@ func (e *evaluator) startElement(t *xmltok.Token) error {
 	if e.rootClosed && len(e.stack) == 0 {
 		return fmt.Errorf("shred: multiple root elements")
 	}
-	e.labels = append(e.labels, t.Label)
-	e.curPathOK = false
 	nf := e.pushFrame()
+	nf.label = t.Label
 	if len(e.stack) == 1 {
 		// The document root anchors every rule's root variable.
 		for ri, cr := range e.c.rules {
@@ -222,7 +252,7 @@ func (e *evaluator) startElement(t *xmltok.Token) error {
 	return nil
 }
 
-func newBind(cv *cvar, off int64, path string) *bind {
+func newBind(cv *cvar, off int64, path *pathNode) *bind {
 	b := &bind{v: cv, off: off, path: path}
 	if len(cv.children) > 0 {
 		b.kids = make([][]*bind, len(cv.children))
@@ -296,8 +326,6 @@ func (e *evaluator) charData(s []byte) error {
 
 func (e *evaluator) endElement() error {
 	nf := &e.stack[len(e.stack)-1]
-	e.labels = e.labels[:len(e.labels)-1]
-	e.curPathOK = false
 	if nf.nText > 0 {
 		closing := e.texts[len(e.texts)-nf.nText:]
 		for _, b := range closing {
@@ -481,7 +509,7 @@ func (l lineage) refs() []Ref {
 		if b == nil {
 			continue
 		}
-		path := b.path
+		path := b.path.String()
 		if b.v.attr != "" {
 			path += "/@" + b.v.attr
 		}

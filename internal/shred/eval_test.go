@@ -207,3 +207,95 @@ func driveString(ev *evaluator, doc string) error {
 		}
 	}
 }
+
+// TestLineagePathsMatchEager: every Ref.Path equals the path an eager
+// join of the open elements' labels gives at the binding's start tag,
+// plus "/@attr" for an attribute binding. The lineages are rendered only
+// after the whole document has closed. The document covers a //-mapped
+// variable whose ancestors anchor nothing (item), sibling elements at
+// one depth after a pop (p and q, each holding an x), attribute
+// bindings, and the root binding of a rule with two root children.
+func TestLineagePathsMatchEager(t *testing.T) {
+	tr := transform.MustParseString(`
+rule deep(k: x1, v: x2) {
+  xa := root / //item
+  x1 := xa / @k
+  x2 := xa / val
+}
+rule both(r: y1, s: y2) {
+  ya := root / //x
+  y1 := ya / @k
+  yb := root / //y
+  y2 := yb / @k
+}`)
+	attrs := map[string]string{"x1": "k", "y1": "k", "y2": "k"}
+	doc := `<db>
+  <wrap><deeper><item k="1"><val>a</val></item></deeper></wrap>
+  <p><x k="1"/></p><q><x k="2"/></q>
+  <y k="3"/>
+</db>`
+	c, err := Compile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lins []lineage
+	ev := c.newEvaluator(0, func(ri int, blk block) error {
+		p := newProduct(c.rules[ri])
+		for p.first(blk.b); ; {
+			lins = append(lins, p.lin.clone())
+			if !p.next() {
+				return nil
+			}
+		}
+	})
+	eager := map[int64]string{}
+	var labels []string
+	src := xmltok.New(strings.NewReader(doc), c.in)
+	for {
+		tok, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch tok.Kind {
+		case xmltok.StartElement:
+			labels = append(labels, tok.Label)
+			eager[tok.Offset] = "/" + strings.Join(labels, "/")
+			err = ev.startElement(tok)
+		case xmltok.EndElement:
+			labels = labels[:len(labels)-1]
+			err = ev.endElement()
+		case xmltok.CharData:
+			err = ev.charData(tok.Data)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[string]bool{}
+	for _, lin := range lins {
+		for _, ref := range lin.refs() {
+			want, ok := eager[ref.Offset]
+			if !ok {
+				t.Fatalf("ref %+v: no start tag at its offset", ref)
+			}
+			if a := attrs[ref.Var]; a != "" {
+				want += "/@" + a
+			}
+			if ref.Path != want {
+				t.Errorf("ref %+v: path %q, want %q", ref, ref.Path, want)
+			}
+			seen[ref.Var+" "+ref.Path] = true
+		}
+	}
+	for _, want := range []string{
+		transform.RootVar + " /db", "xa /db/wrap/deeper/item", "x1 /db/wrap/deeper/item/@k", "x2 /db/wrap/deeper/item/val",
+		"ya /db/p/x", "y1 /db/p/x/@k", "ya /db/q/x", "y1 /db/q/x/@k", "yb /db/y", "y2 /db/y/@k",
+	} {
+		if !seen[want] {
+			t.Errorf("no ref %q among %v", want, seen)
+		}
+	}
+}

@@ -98,8 +98,8 @@ func (w *fileWriter) Close() error {
 }
 
 // CSVSink writes <dir>/<table>.csv with a header row, fields escaped per
-// RFC 4180 by the same rel.CSVEscape the in-memory renderer uses, and
-// NULL as the empty field.
+// RFC 4180 by rel.WriteCSVField, which writes the bytes of the in-memory
+// renderer's rel.CSVEscape, and NULL as the empty field.
 type CSVSink struct{ Dir string }
 
 func NewCSVSink(dir string) *CSVSink { return &CSVSink{Dir: dir} }
@@ -117,7 +117,7 @@ func (s *CSVSink) Open(sc *rel.Schema) (TableWriter, error) {
 		if i > 0 {
 			fw.bw.WriteByte(',')
 		}
-		fw.bw.WriteString(rel.CSVEscape(a))
+		rel.WriteCSVField(fw.bw, a)
 	}
 	fw.bw.WriteByte('\n')
 	return &csvWriter{fileWriter: fw}, nil
@@ -130,7 +130,7 @@ func (w *csvWriter) WriteBatch(rows []rel.Tuple) error {
 				w.bw.WriteByte(',')
 			}
 			if !v.Null {
-				w.bw.WriteString(rel.CSVEscape(v.S))
+				rel.WriteCSVField(w.bw, v.S)
 			}
 		}
 		if err := w.bw.WriteByte('\n'); err != nil {

@@ -13,7 +13,9 @@ import (
 // Tokenization benchmarks: the fast tokenizer against the encoding/xml
 // oracle over a representative workload document. tok_fast reuses one
 // tokenizer via Reset, which is the steady state the ingest plane runs
-// in (zero allocations per document once the label cache is warm).
+// in (zero allocations per document once the label cache is warm). The
+// fast tokenizer also reads workload.TextDocument, a text-heavy document
+// that xkbench's tokenizer suite measures as its "text" cell.
 
 func benchDoc() []byte {
 	return []byte(workload.Generate(workload.Config{Fields: 12, Depth: 3, Keys: 6}).Document(6).XMLString())
@@ -32,17 +34,26 @@ func benchDrain(b *testing.B, src xmltok.Source) {
 }
 
 func BenchmarkTokenizerFast(b *testing.B) {
-	doc := benchDoc()
-	in := xpath.NewInterner()
-	rd := bytes.NewReader(doc)
-	tk := xmltok.New(rd, in)
-	b.SetBytes(int64(len(doc)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(doc)
-		tk.Reset(rd)
-		benchDrain(b, tk)
+	for _, c := range []struct {
+		name string
+		doc  []byte
+	}{
+		{"workload", benchDoc()},
+		{"text", []byte(workload.TextDocument())},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			in := xpath.NewInterner()
+			rd := bytes.NewReader(c.doc)
+			tk := xmltok.New(rd, in)
+			b.SetBytes(int64(len(c.doc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(c.doc)
+				tk.Reset(rd)
+				benchDrain(b, tk)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -500,11 +499,10 @@ func (t *Tokenizer) scanProcInst() (*Token, error) {
 	target := t.buf[t.tokStart+ns : t.tokStart+ne]
 	data := t.buf[t.tokStart+contentStart : t.tokStart+contentEnd]
 	if string(target) == "xml" {
-		content := string(data)
-		if ver := procInstValue("version", content); ver != "" && ver != "1.0" {
+		if ver := procInstValue("version=", data); len(ver) > 0 && string(ver) != "1.0" {
 			return nil, t.failErr(fmt.Errorf("xml: unsupported version %q; only version 1.0 is supported", ver))
 		}
-		if enc := procInstValue("encoding", content); enc != "" && !strings.EqualFold(enc, "utf-8") {
+		if enc := procInstValue("encoding=", data); len(enc) > 0 && !bytes.EqualFold(enc, []byte("utf-8")) {
 			return nil, t.failErr(fmt.Errorf("xml: encoding %q declared but Decoder.CharsetReader is nil", enc))
 		}
 	}
@@ -662,6 +660,24 @@ func (t *Tokenizer) attrVal() (textSpan, bool) {
 	return textSpan{}, false
 }
 
+// textStop and textSyntax classify bytes for scanText's run skip.
+// textSyntax holds the bytes scanText itself acts on: '<', '&', ']',
+// '\r' and both quotes. textStop adds every byte checkChars could
+// reject: the ASCII controls other than tab and newline, and all bytes
+// of multi-byte runes. Any other byte is skipped, or copied, as part of
+// a run, with no branch of its own.
+var textStop, textSyntax = func() (stop, syntax [256]bool) {
+	for _, c := range []byte("<&]\r'\"") {
+		stop[c], syntax[c] = true, true
+	}
+	for c := 0; c < 256; c++ {
+		if c < 0x20 && c != '\t' && c != '\n' || c >= utf8.RuneSelf {
+			stop[c] = true
+		}
+	}
+	return stop, syntax
+}()
+
 // scanText consumes character data with stdlib text() semantics.
 // quote >= 0: inside an attribute value, terminate at the quote byte.
 // cdata: inside a CDATA section, terminate at the first raw "]]>".
@@ -669,13 +685,30 @@ func (t *Tokenizer) attrVal() (textSpan, bool) {
 // The clean path returns a window view; entity expansion or \r
 // normalization switches to the scratch arena. The decoded result is
 // checked for UTF-8 validity and the XML character range, like stdlib.
+//
+// Runs of ordinary bytes are skipped within the buffered window: a
+// rewritten text copies each run to scratch in one append. checkChars
+// runs only when a byte it could reject was seen or the text was
+// rewritten (an entity may expand to any rune); after the first such
+// byte the scan stops only at textSyntax bytes. The check still runs at
+// the end of the text, so its errors keep their message and offset.
 func (t *Tokenizer) scanText(quote int, cdata bool) (textSpan, bool) {
 	relStart := t.pos - t.tokStart
 	relEnd := -1
 	dirty := false
+	stop := &textStop // &textSyntax once checkChars must run
 	scratchStart := len(t.scratch)
 loop:
 	for {
+		run := t.buf[t.pos:t.w]
+		n := 0
+		for n < len(run) && !stop[run[n]] {
+			n++
+		}
+		if dirty {
+			t.scratch = append(t.scratch, run[:n]...)
+		}
+		t.pos += n
 		if !t.ensure() {
 			if cdata {
 				if t.rdErr == io.EOF {
@@ -732,6 +765,7 @@ loop:
 			if !dirty {
 				t.scratch = append(t.scratch[:scratchStart], t.buf[t.tokStart+relStart:t.pos]...)
 				dirty = true
+				stop = &textSyntax
 			}
 			t.pos++
 			if !t.scanEntity() {
@@ -741,6 +775,7 @@ loop:
 			if !dirty {
 				t.scratch = append(t.scratch[:scratchStart], t.buf[t.tokStart+relStart:t.pos]...)
 				dirty = true
+				stop = &textSyntax
 			}
 			t.pos++
 			t.scratch = append(t.scratch, '\n')
@@ -748,6 +783,11 @@ loop:
 				t.pos++
 			}
 		default:
+			// A quote, '<', '&' or ']' that means nothing here, or a
+			// byte checkChars must look at.
+			if !textSyntax[b] {
+				stop = &textSyntax
+			}
 			t.pos++
 			if dirty {
 				t.scratch = append(t.scratch, b)
@@ -763,7 +803,7 @@ loop:
 		sp = textSpan{start: relStart, end: relEnd}
 		data = t.buf[t.tokStart+relStart : t.tokStart+relEnd]
 	}
-	if !t.checkChars(data) {
+	if stop == &textSyntax && !t.checkChars(data) {
 		return textSpan{}, false
 	}
 	return sp, true
@@ -924,17 +964,17 @@ func (t *Tokenizer) checkChars(data []byte) bool {
 
 // procInstValue extracts a pseudo-attribute from an <?xml ...?> body,
 // reproducing stdlib procInst's quirky scan so both decoders accept and
-// reject the same declarations.
-func procInstValue(param, s string) string {
-	param = param + "="
+// reject the same declarations. param is the name with its '='. The
+// value is a view into s, so a declaration costs no allocation.
+func procInstValue(param string, s []byte) []byte {
 	lenp := len(param)
 	i := 0
 	var sep byte
 	for i < len(s) {
 		sub := s[i:]
-		k := strings.Index(sub, param)
+		k := bytes.Index(sub, []byte(param))
 		if k < 0 || lenp+k >= len(sub) {
-			return ""
+			return nil
 		}
 		i += lenp + k + 1
 		if c := sub[lenp+k]; c == '\'' || c == '"' {
@@ -943,11 +983,11 @@ func procInstValue(param, s string) string {
 		}
 	}
 	if sep == 0 {
-		return ""
+		return nil
 	}
-	j := strings.IndexByte(s[i:], sep)
+	j := bytes.IndexByte(s[i:], sep)
 	if j < 0 {
-		return ""
+		return nil
 	}
 	return s[i : i+j]
 }
