@@ -249,74 +249,62 @@ func (r *Relation) String() string {
 	return b.String()
 }
 
-// csvQuoted is the RFC 4180 rule CSVEscape and WriteCSVField share: a
-// field containing a comma, double quote, CR or LF must be quoted. The
+// WriteCSVField writes one CSV field to w per RFC 4180: a field holding a
+// comma, double quote, CR or LF is wrapped in double quotes with every
+// embedded double quote doubled; any other field is written verbatim. The
 // special bytes are all ASCII, so a plain byte loop finds them; it runs
-// once per field on the CSV sink's hot path.
-func csvQuoted(s string) bool {
-	for i := 0; i < len(s); i++ {
+// once per field on the shredding pipeline's CSV sink, and Relation.CSV
+// writes through it too, so both emit the same bytes for the same value.
+func WriteCSVField(w *bufio.Writer, s string) {
+	i := 0
+scan:
+	for ; i < len(s); i++ {
 		switch s[i] {
 		case ',', '"', '\r', '\n':
-			return true
+			break scan
 		}
 	}
-	return false
-}
-
-// CSVEscape renders one CSV field per RFC 4180: a field csvQuoted
-// selects is wrapped in double quotes with every embedded double quote
-// doubled; any other field passes through verbatim.
-func CSVEscape(s string) string {
-	if !csvQuoted(s) {
-		return s
-	}
-	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}
-
-// WriteCSVField writes the bytes of CSVEscape(s) to w without building
-// the escaped string. The shredding pipeline's CSV sink writes every
-// field through it, so the sink and Relation.CSV emit the same bytes for
-// the same value.
-func WriteCSVField(w *bufio.Writer, s string) {
-	if !csvQuoted(s) {
+	if i == len(s) {
 		w.WriteString(s)
 		return
 	}
 	w.WriteByte('"')
 	for {
-		i := strings.IndexByte(s, '"')
-		if i < 0 {
+		j := strings.IndexByte(s, '"')
+		if j < 0 {
 			break
 		}
-		w.WriteString(s[:i+1])
+		w.WriteString(s[:j+1])
 		w.WriteByte('"')
-		s = s[i+1:]
+		s = s[j+1:]
 	}
 	w.WriteString(s)
 	w.WriteByte('"')
 }
 
 // CSV renders the instance as CSV with a header row; NULL renders as the
-// empty field, and fields are escaped per RFC 4180 (see CSVEscape).
+// empty field, and fields are escaped per RFC 4180 by WriteCSVField.
 func (r *Relation) CSV() string {
 	var b strings.Builder
+	w := bufio.NewWriter(&b)
 	for i, a := range r.Schema.Attrs {
 		if i > 0 {
-			b.WriteByte(',')
+			w.WriteByte(',')
 		}
-		b.WriteString(CSVEscape(a))
+		WriteCSVField(w, a)
 	}
-	b.WriteByte('\n')
+	w.WriteByte('\n')
 	for _, t := range r.Tuples {
 		for i, v := range t {
 			if i > 0 {
-				b.WriteByte(',')
+				w.WriteByte(',')
 			}
 			if !v.Null {
-				b.WriteString(CSVEscape(v.S))
+				WriteCSVField(w, v.S)
 			}
 		}
-		b.WriteByte('\n')
+		w.WriteByte('\n')
 	}
+	w.Flush()
 	return b.String()
 }

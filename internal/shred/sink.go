@@ -98,8 +98,8 @@ func (w *fileWriter) Close() error {
 }
 
 // CSVSink writes <dir>/<table>.csv with a header row, fields escaped per
-// RFC 4180 by rel.WriteCSVField, which writes the bytes of the in-memory
-// renderer's rel.CSVEscape, and NULL as the empty field.
+// RFC 4180 by rel.WriteCSVField, as the in-memory Relation.CSV escapes
+// them, and NULL as the empty field.
 type CSVSink struct{ Dir string }
 
 func NewCSVSink(dir string) *CSVSink { return &CSVSink{Dir: dir} }
